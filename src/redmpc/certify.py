@@ -45,7 +45,6 @@ __all__ = [
     "quadratic_bounds",
     "kappa_rule",
     "boundary_layer_check",
-    "assemble_interconnection",
     "bisect_delta_bar",
     "closed_loop_decrease_check",
     "full_certificate",
@@ -130,6 +129,8 @@ class QuadraticBounds:
     minimum of (V(v) - V(v+)) / (divisor * ||v||^2) along the supplied
     one-step images, increment from the max of
     (V(v) - V(v')) / (||v - v'|| (||v|| + ||v'||)) over sample pairs.
+    ``witness`` is the sample with the worst decrease when ``ok`` is False,
+    and ``witness_index`` its row.
     """
 
     lower: float
@@ -140,6 +141,7 @@ class QuadraticBounds:
     ok: bool
     witness: np.ndarray | None = None
     increment_centered: float | None = None
+    witness_index: int | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -202,65 +204,57 @@ def estimate_lipschitz(
     return Estimate(value=best, tag=SAMPLED, samples=count)
 
 
+def _max_increment(dv: np.ndarray, gaps: np.ndarray, norms: np.ndarray) -> float:
+    """Max of dv / (gap * (|a| + |b|)) over consecutive pairs with a positive scale."""
+    scale = gaps * (norms[:-1] + norms[1:])
+    keep = (gaps >= 1e-12) & (scale > 0.0)
+    return float(np.max(dv[keep] / scale[keep], initial=0.0))
+
+
 def quadratic_bounds(
-    fn,
-    samples: np.ndarray,
-    stepped: np.ndarray,
+    values,
+    values_next,
+    samples,
     decrease_divisor: float = 1.0,
     center: np.ndarray | None = None,
 ) -> QuadraticBounds:
-    """Estimate quadratic sandwich/decrease/increment coefficients for ``fn``.
+    """Quadratic sandwich/decrease/increment coefficients of a sampled function V.
 
-    ``samples`` are error-coordinate points (equilibrium at the origin) and
-    ``stepped`` their images under the one-step map. Any nonpositive decrease
-    ratio yields ``ok=False`` with the offending sample as witness.
+    ``values`` holds V at the rows of ``samples`` and ``values_next`` V at
+    their one-step images. Lower, upper and decrease ratios divide by the
+    squared distance to ``center`` (the origin when omitted); ``increment``
+    takes norms about the origin and ``increment_centered`` about ``center``,
+    both over consecutive sample pairs. Any decrease ratio at or below
+    ``DECREASE_FLOOR`` yields ``ok=False`` with the first worst sample as
+    witness.
     """
+    values = np.asarray(values, dtype=float).reshape(-1)
+    values_next = np.asarray(values_next, dtype=float).reshape(-1)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    stepped = np.atleast_2d(np.asarray(stepped, dtype=float))
-    if samples.shape != stepped.shape:
-        raise ValueError("samples and stepped images must have matching shapes")
-    norms2 = np.sum(samples**2, axis=1)
+    if not values.shape == values_next.shape == samples.shape[:1]:
+        raise ValueError("values, values_next and samples must have one entry per sample")
+    errors = samples if center is None else samples - center
+    norms2 = np.sum(errors**2, axis=1)
     if np.any(norms2 == 0.0):
-        raise ValueError("samples must be nonzero error vectors")
-    values = np.array([float(fn(v)) for v in samples])
-    values_next = np.array([float(fn(v)) for v in stepped])
+        raise ValueError("samples must be nonzero error vectors (away from the center)")
     ratios = values / norms2
-    lower = float(np.min(ratios))
-    upper = float(np.max(ratios))
     dec_ratios = (values - values_next) / (decrease_divisor * norms2)
     k_min = int(np.argmin(dec_ratios))
     decrease = float(dec_ratios[k_min])
     ok = decrease > DECREASE_FLOOR
-    witness = samples[k_min].copy() if not ok else None
 
-    norms = np.sqrt(norms2)
-    inc = 0.0
-    inc_centered = 0.0
-    if center is None:
-        center = np.zeros(samples.shape[1])
-    for i in range(samples.shape[0] - 1):
-        a, b = samples[i], samples[i + 1]
-        gap = float(np.linalg.norm(a - b))
-        if gap < 1e-12:
-            continue
-        dv = abs(values[i] - values[i + 1])
-        scale = gap * (norms[i] + norms[i + 1])
-        if scale > 0.0:
-            inc = max(inc, dv / scale)
-        scale_c = gap * (
-            float(np.linalg.norm(a - center)) + float(np.linalg.norm(b - center))
-        )
-        if scale_c > 0.0:
-            inc_centered = max(inc_centered, dv / scale_c)
+    gaps = np.linalg.norm(np.diff(samples, axis=0), axis=1)
+    dv = np.abs(np.diff(values))
     return QuadraticBounds(
-        lower=lower,
-        upper=upper,
+        lower=float(np.min(ratios)),
+        upper=float(np.max(ratios)),
         decrease=decrease,
-        increment=inc,
+        increment=_max_increment(dv, gaps, np.linalg.norm(samples, axis=1)),
         samples=samples.shape[0],
         ok=ok,
-        witness=witness,
-        increment_centered=inc_centered,
+        witness=None if ok else samples[k_min].copy(),
+        witness_index=None if ok else k_min,
+        increment_centered=_max_increment(dv, gaps, np.sqrt(norms2)),
     )
 
 
@@ -335,8 +329,9 @@ def boundary_layer_check(
     For each sampled slow state x (with its minimizer solved to tolerance) and
     each error sample (xi_err, z_err), the fast pair (extra state, optimizer
     state) is stepped once with x frozen and the composite value
-    ||xi_err||^2 + kappa * ||z_err||^2 must strictly decrease. The reported d3
-    is the worst decrease ratio; any violation fails with a witness.
+    ||xi_err||^2 + kappa * ||z_err||^2 must strictly decrease. d1..d4 are the
+    quadratic bounds of that composite over the stacked errors [xi_err, z_err];
+    any violation fails with the witness (x, xi_err, z_err).
     """
     rng = np.random.default_rng(plan.seed + 1)
     n, p, m = model.n, model.p, model.m
@@ -349,14 +344,8 @@ def boundary_layer_check(
         xi_errs_all, z_errs_all = error_samples
         per_state = xi_errs_all.shape[0]
 
-    d3 = math.inf
-    d1 = math.inf
-    d2 = -math.inf
-    d4 = 0.0
-    total = 0
-    witness = None
-    prev_value = None
-    prev_vec = None
+    sample_states, errors = [], []  # frozen slow state and stacked [xi_err, z_err] per sample
+    values, values_next = [], []  # composite value at each sample and at its one-step image
     for k, x in enumerate(states):
         if zstars is not None:
             zstar = zstars[k]
@@ -379,36 +368,25 @@ def boundary_layer_check(
             u_next = first_input(z_next, m)
             xi_err_next = xi_next - model.equilibrium_map(x, u_next)
             z_err_next = z_next - zstar
+            sample_states.append(x)
+            errors.append(np.concatenate([xi_err, z_err]))
+            values.append(float(xi_err @ xi_err) + kappa * float(z_err @ z_err))
+            values_next.append(float(xi_err_next @ xi_err_next) + kappa * float(z_err_next @ z_err_next))
 
-            nm2 = float(xi_err @ xi_err) + float(z_err @ z_err)
-            value = float(xi_err @ xi_err) + kappa * float(z_err @ z_err)
-            value_next = float(xi_err_next @ xi_err_next) + kappa * float(z_err_next @ z_err_next)
-            ratio = (value - value_next) / nm2
-            if ratio < d3:
-                d3 = ratio
-                if ratio <= DECREASE_FLOOR:
-                    witness = (x.copy(), xi_err.copy(), z_err.copy())
-            d1 = min(d1, value / nm2)
-            d2 = max(d2, value / nm2)
-            if prev_value is not None:
-                gap = float(np.linalg.norm(prev_vec[0] - xi_err)) ** 2 + float(np.linalg.norm(prev_vec[1] - z_err)) ** 2
-                gap = math.sqrt(gap)
-                scale = gap * (math.sqrt(prev_vec[2]) + math.sqrt(nm2))
-                if scale > 0.0:
-                    d4 = max(d4, abs(prev_value - value) / scale)
-            prev_value = value
-            prev_vec = (xi_err, z_err, nm2)
-            total += 1
-    passed = d3 > DECREASE_FLOOR
+    bounds = quadratic_bounds(values, values_next, np.array(errors))
+    witness = None
+    if not bounds.ok:
+        k = bounds.witness_index
+        witness = (sample_states[k].copy(), errors[k][:p].copy(), errors[k][p:].copy())
     return BoundaryLayerResult(
-        passed=passed,
-        d1=d1,
-        d2=d2,
-        d3=d3,
-        d4=d4,
+        passed=bounds.ok,
+        d1=bounds.lower,
+        d2=bounds.upper,
+        d3=bounds.decrease,
+        d4=bounds.increment,
         kappa=kappa,
-        samples=total,
-        witness=None if passed else witness,
+        samples=bounds.samples,
+        witness=witness,
     )
 
 
@@ -483,12 +461,14 @@ class InterconnectionConstants:
         )
 
     def condition_holds(self, delta: float) -> bool:
-        """Printed scalar condition and positive definiteness via leading minors."""
+        """Positive definiteness of the coupling matrix via its leading minors.
+
+        The determinant minor is the scalar condition delta * c3 *
+        fast_decrease > p(delta) (see ``p_poly``).
+        """
         mat = self.coupling_matrix(delta)
-        minor1 = mat[0, 0]
         det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        scalar = self.c3 * self.fast_decrease > self.p_poly(delta)
-        return scalar and minor1 > 0.0 and det > 0.0
+        return mat[0, 0] > 0.0 and det > 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -510,27 +490,6 @@ class InterconnectionConstants:
         }
 
 
-def assemble_interconnection(
-    c3: float,
-    c4: float,
-    fast_decrease: float,
-    fast_increment: float,
-    lip_slow: float,
-    lip_h: float,
-    lip_G: float,
-) -> InterconnectionConstants:
-    """Pure arithmetic assembly of the interconnection constants k1..k8."""
-    return InterconnectionConstants(
-        c3=c3,
-        c4=c4,
-        fast_decrease=fast_decrease,
-        fast_increment=fast_increment,
-        lip_slow=lip_slow,
-        lip_h=lip_h,
-        lip_G=lip_G,
-    )
-
-
 @dataclass
 class DeltaBarSearch:
     """Certified timescale bound (None when no positive value qualifies)."""
@@ -542,9 +501,10 @@ class DeltaBarSearch:
 def bisect_delta_bar(constants: InterconnectionConstants, delta_caps: list[float] | None = None) -> DeltaBarSearch:
     """Largest timescale below the caps satisfying the coupling conditions.
 
-    Requires the printed scalar condition and both leading minors of the
-    coupling matrix to be positive; bisects the boundary to relative
-    tolerance 1e-6. A ``None`` result is a valid outcome, not an error.
+    Requires both leading minors of the coupling matrix to be positive (see
+    ``InterconnectionConstants.condition_holds``); bisects the boundary to
+    relative tolerance 1e-6. A ``None`` result is a valid outcome, not an
+    error.
     """
     caps = [0.2] if not delta_caps else [float(c) for c in delta_caps]
     cap = min(caps)
@@ -901,8 +861,7 @@ def full_certificate(
         x, u = row[:n], row[n:]
         xi_eq = model.equilibrium_map(x, u)
         stepped[i] = model.extra_map(e + xi_eq, x, u, delta) - xi_eq
-    sq_norm = lambda v: float(np.asarray(v) @ np.asarray(v))
-    fast_bounds = quadratic_bounds(sq_norm, xi_errs, stepped)
+    fast_bounds = quadratic_bounds(np.sum(xi_errs**2, axis=1), np.sum(stepped**2, axis=1), xi_errs)
     report.fast_bounds = fast_bounds
     report.add_verdict(
         "fast-error-decrease",
@@ -931,7 +890,8 @@ def full_certificate(
             z_next, _ = iterate_map(spec, model, solver_config, x, zstar + e)
             z_samples.append(e)
             z_stepped.append(z_next - zstar)
-    optimizer_bounds = quadratic_bounds(sq_norm, np.array(z_samples), np.array(z_stepped))
+    z_samples, z_stepped = np.array(z_samples), np.array(z_stepped)
+    optimizer_bounds = quadratic_bounds(np.sum(z_samples**2, axis=1), np.sum(z_stepped**2, axis=1), z_samples)
     report.optimizer_bounds = optimizer_bounds
     report.add_verdict(
         "optimizer-decrease",
@@ -1009,7 +969,6 @@ def full_certificate(
     value_states = _ball_samples(rng, n, plan.n_value_states, plan.state_ball, plan.state_ball * 0.02)
     values = np.empty(plan.n_value_states)
     zstar_values: list[np.ndarray] = []
-    advanced = np.empty_like(value_states)
     values_next = np.empty(plan.n_value_states)
     single_int_ratios = np.empty(plan.n_value_states)
     warm = np.zeros(nz)
@@ -1021,7 +980,6 @@ def full_certificate(
         values[i] = cost(spec, model, x, sol.z)
         u0 = first_input(sol.z, m)
         x_next = model.reduced_map(x, u0, delta)
-        advanced[i] = x_next
         sol_next = solve_optimal(spec, model, solver_config, x_next, sol.z)
         ok_solves &= sol_next.converged
         values_next[i] = cost(spec, model, x_next, sol_next.z)
@@ -1030,40 +988,13 @@ def full_certificate(
     if not ok_solves:
         report.add_verdict("reduced-value-solves", False, "value-function solves missed tolerance")
 
-    err_norm2 = np.sum((value_states - x_star) ** 2, axis=1)
-    c1 = float(np.min(values / err_norm2))
-    c2 = float(np.max(values / err_norm2))
-    c3_ratios = (values - values_next) / (delta * err_norm2)
-    c3 = float(np.min(c3_ratios))
-    c4 = 0.0
-    c4_centered = 0.0
-    for i in range(plan.n_value_states - 1):
-        a, b = value_states[i], value_states[i + 1]
-        gap = float(np.linalg.norm(a - b))
-        if gap < 1e-12:
-            continue
-        dv = abs(values[i] - values[i + 1])
-        plain = gap * (float(np.linalg.norm(a)) + float(np.linalg.norm(b)))
-        centered = gap * (float(np.linalg.norm(a - x_star)) + float(np.linalg.norm(b - x_star)))
-        if plain > 0:
-            c4 = max(c4, dv / plain)
-        if centered > 0:
-            c4_centered = max(c4_centered, dv / centered)
-    reduced_bounds = QuadraticBounds(
-        lower=c1,
-        upper=c2,
-        decrease=c3,
-        increment=c4,
-        samples=plan.n_value_states,
-        ok=c3 > DECREASE_FLOOR,
-        witness=None if c3 > DECREASE_FLOOR else value_states[int(np.argmin(c3_ratios))],
-        increment_centered=c4_centered,
-    )
+    reduced_bounds = quadratic_bounds(values, values_next, value_states, decrease_divisor=delta, center=x_star)
     report.reduced_bounds = reduced_bounds
     report.add_verdict(
         "reduced-value-decrease",
         reduced_bounds.ok,
-        f"c3 = {c3:.6g}, c1 = {c1:.6g}, c2 = {c2:.6g} over {plan.n_value_states} states",
+        f"c3 = {reduced_bounds.decrease:.6g}, c1 = {reduced_bounds.lower:.6g}, c2 = {reduced_bounds.upper:.6g} "
+        f"over {plan.n_value_states} states",
     )
 
     # minimizer map Lipschitz constant by secant slopes across sampled states
@@ -1076,6 +1007,7 @@ def full_certificate(
 
     # single-integrator-style bound on the slow drift near the equilibrium
     overall_ratio = float(np.max(single_int_ratios))
+    err_norm2 = np.sum((value_states - x_star) ** 2, axis=1)
     small = err_norm2 <= np.quantile(err_norm2, 0.1)
     near_ratio = float(np.max(single_int_ratios[small])) if np.any(small) else overall_ratio
     report.constants["single_integrator_ratio"] = Estimate(overall_ratio, SAMPLED, plan.n_value_states)
@@ -1094,10 +1026,11 @@ def full_certificate(
         Estimate(overall_ratio, SAMPLED).inflated(plan.safety_factor),
     )
     report.constants["lip_slow_generic"] = Estimate(lip_slow_generic, SAMPLED)
-    c4_used = Estimate(max(c4, c4_centered), SAMPLED).inflated(plan.safety_factor)
+    c4 = max(reduced_bounds.increment, reduced_bounds.increment_centered)
+    c4_used = Estimate(c4, SAMPLED).inflated(plan.safety_factor)
     d4_analytic = max(1.0, rule.kappa)  # composite of squared norms: increment is max(1, kappa)
-    interconnection = assemble_interconnection(
-        c3=c3,
+    interconnection = InterconnectionConstants(
+        c3=reduced_bounds.decrease,
         c4=c4_used,
         fast_decrease=boundary.d3,
         fast_increment=d4_analytic,

@@ -52,10 +52,9 @@ def _parse_deltas(text: str) -> list[float]:
 def _load(args) -> Config:
     overrides: dict[str, dict[str, str]] = {}
     if getattr(args, "seed", None) is not None:
-        overrides["sim"] = {"seed": str(args.seed)}
         overrides["certify"] = {"seed": str(args.seed)}
     if getattr(args, "strategy", None) is not None:
-        overrides.setdefault("sim", {})["strategy"] = args.strategy
+        overrides["sim"] = {"strategy": args.strategy}
     return load_config(args.config, overrides)
 
 
@@ -94,14 +93,13 @@ def cmd_simulate(args) -> int:
     return EXIT_DIVERGED if trace.diverged else EXIT_OK
 
 
-def _run_comparison(args, deltas: list[float], command: str) -> int:
+def _run_comparison(args, deltas: list[float] | None, command: str) -> int:
+    """Strategy table at each delta, or at the configured delta when ``deltas`` is None."""
     config = _load(args)
     out = _prepare_out(args, config, command)
     model = config.sim_model()
-    spec = config.ocp_spec()
-    rows = compare_strategies(
-        model, spec, config.solver_config(), config.sim_config(), deltas, config.skip_fraction
-    )
+    specs = [config.ocp_spec()] if deltas is None else [config.ocp_spec(delta) for delta in deltas]
+    rows = compare_strategies(model, specs, config.solver_config(), config.sim_config(), config.skip_fraction)
     write_comparison_csv(rows, os.path.join(out, "comparison.csv"))
     write_gnuplot_script(os.path.join(out, "plot.gp"), comparison_csv="comparison.csv")
     for r in rows:
@@ -117,9 +115,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _load(args)
-    delta = float(config["ocp"]["delta"])
-    return _run_comparison(args, [delta], "compare")
+    return _run_comparison(args, None, "compare")
 
 
 def cmd_certify(args) -> int:
@@ -150,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default=None, help="config file (sectioned key=value)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override sim/certify seed")
 
     p_sim = sub.add_parser("simulate", help="one closed-loop run; writes trace.csv, summary.txt, plot.gp")
     common(p_sim)
@@ -168,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="run the stability certification pipeline")
     common(p_cert)
+    p_cert.add_argument("--seed", type=int, default=None, help="override the [certify] sampling seed")
     p_cert.set_defaults(func=cmd_certify)
     return parser
 

@@ -89,7 +89,6 @@ DEFAULTS: dict[str, dict[str, tuple] ] = {
         "omega0": (float, 0.0),
         "current0": (float, 0.0),
         "strategy": (_strategy, "proposed"),
-        "seed": (int, 0),
         "skip_fraction": (float, 0.1),
     },
     "certify": {
@@ -221,7 +220,6 @@ class Config:
             x0=(float(s["theta0"]), float(s["omega0"])),
             xi0=(float(s["current0"]),),
             strategy=STRATEGIES[name],
-            seed=int(s["seed"]),
         )
 
     def sampling_plan(self) -> SamplingPlan:

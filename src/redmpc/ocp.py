@@ -58,9 +58,8 @@ def _check_symmetric(mat: np.ndarray, name: str, tol: float = 1e-12) -> np.ndarr
 class OcpSpec:
     """Finite-horizon problem description over the reduced prediction model.
 
-    ``input_box`` is a pair of per-coordinate (lo, hi) arrays. ``state_box``
-    and ``terminal_box`` are carried for completeness but the solver only
-    enforces the input box; passing finite state bounds raises at solve time.
+    ``input_box`` is a pair of per-coordinate (lo, hi) arrays; it is the only
+    constraint the solvers enforce.
     """
 
     horizon_N: int
@@ -69,8 +68,6 @@ class OcpSpec:
     terminal_weight: np.ndarray   # n x n, symmetric PSD
     input_box: tuple[np.ndarray, np.ndarray]
     delta: float
-    state_box: tuple[np.ndarray, np.ndarray] | None = None
-    terminal_box: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.horizon_N < 1:
@@ -97,8 +94,8 @@ class OcpSpec:
     def n(self) -> int:
         return self.state_weight.shape[0]
 
-    def with_delta(self, delta: float, horizon_N: int | None = None) -> "OcpSpec":
-        return replace(self, delta=float(delta), horizon_N=self.horizon_N if horizon_N is None else int(horizon_N))
+    def with_delta(self, delta: float) -> "OcpSpec":
+        return replace(self, delta=float(delta))
 
 
 @dataclass(frozen=True)
@@ -179,12 +176,6 @@ def _check_z(spec: OcpSpec, z) -> np.ndarray:
     return z
 
 
-def _require_no_state_bounds(spec: OcpSpec):
-    for box, name in ((spec.state_box, "state_box"), (spec.terminal_box, "terminal_box")):
-        if box is not None and (np.any(np.isfinite(box[0])) or np.any(np.isfinite(box[1]))):
-            raise NotImplementedError(f"finite {name} bounds are not enforced by this solver")
-
-
 def rollout(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
     """Predicted state sequence x_0..x_N under the reduced model.
 
@@ -254,11 +245,30 @@ def project_box(spec: OcpSpec, z) -> np.ndarray:
     return np.clip(z.reshape(N, spec.m), lo, hi).reshape(-1)
 
 
-def projected_gradient_norm(spec: OcpSpec, model: PlantModel, x0, z, grad_z: np.ndarray | None = None) -> float:
+def projected_gradient_norm(spec: OcpSpec, model: PlantModel, x0, z) -> float:
     """Stationarity measure ||z - clip(z - grad)|| used as the stopping rule."""
     z = _check_z(spec, z)
-    g = gradient(spec, model, x0, z) if grad_z is None else grad_z
+    g = gradient(spec, model, x0, z)
     return float(np.linalg.norm(z - project_box(spec, z - g)))
+
+
+def _armijo_backtrack(
+    z, g, cost_fn, projector, j_ref, alpha, shrink, armijo_c, max_backtracks, noise_floor=-math.inf
+) -> tuple[np.ndarray, float] | None:
+    """Armijo backtracking along the projection arc ``projector(z - alpha * g)``.
+
+    Returns the first trial point, with its cost, whose cost lies sufficiently
+    below ``j_ref`` or whose predicted decrease is at or below ``noise_floor``
+    (the resolution of a cost evaluation); ``None`` when every trial fails.
+    """
+    for _ in range(max_backtracks):
+        candidate = projector(z - alpha * g)
+        decrease = float(g @ (z - candidate))
+        j_cand = cost_fn(candidate)
+        if j_cand <= j_ref - armijo_c * decrease or armijo_c * decrease <= noise_floor:
+            return candidate, j_cand
+        alpha *= shrink
+    return None
 
 
 def pgd_step(
@@ -271,8 +281,6 @@ def pgd_step(
     shrink: float = 0.5,
     armijo_c: float = 1e-4,
     max_backtracks: int = 30,
-    grad_z: np.ndarray | None = None,
-    cost_z: float | None = None,
 ) -> tuple[np.ndarray, bool]:
     """One projected gradient step ``z <- projector(z - alpha * grad_fn(z))``.
 
@@ -280,18 +288,11 @@ def pgd_step(
     condition along the projection arc holds; if no trial step passes, the
     step is rejected and ``z`` is returned unchanged with ``accepted=False``.
     """
-    g = grad_fn(z) if grad_z is None else grad_z
+    g = grad_fn(z)
     if rule == "fixed":
         return projector(z - alpha0 * g), True
-    j0 = cost_fn(z) if cost_z is None else cost_z
-    alpha = alpha0
-    for _ in range(max_backtracks):
-        candidate = projector(z - alpha * g)
-        decrease = float(g @ (z - candidate))
-        if cost_fn(candidate) <= j0 - armijo_c * decrease:
-            return candidate, True
-        alpha *= shrink
-    return z, False
+    step = _armijo_backtrack(z, g, cost_fn, projector, cost_fn(z), alpha0, shrink, armijo_c, max_backtracks)
+    return (z, False) if step is None else (step[0], True)
 
 
 def iterate_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z) -> tuple[np.ndarray, int]:
@@ -330,7 +331,6 @@ def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z) ->
     Applies exactly ``config.iters_per_sample`` projected gradient iterations
     and records the final projected-gradient norm.
     """
-    _require_no_state_bounds(spec)
     x0 = _as_vector(x0, model.n, "x0")
     z = _check_z(spec, z)
     z, rejected = iterate_map(spec, model, config, x0, z)
@@ -353,7 +353,6 @@ def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_
     ``config.optimal_tol`` or the iteration budget is spent. A result that
     misses the tolerance is returned with ``converged=False``, never silently.
     """
-    _require_no_state_bounds(spec)
     x0 = _as_vector(x0, model.n, "x0")
     z = project_box(spec, _check_z(spec, z_init))
     grad_fn = lambda v: gradient(spec, model, x0, v)
@@ -371,23 +370,16 @@ def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_
     while pg > config.optimal_tol and iters < config.max_optimal_iters:
         iters += 1
         j_ref = max(recent)
+        # Accept on sufficient decrease, or unconditionally once the
+        # predicted decrease is below cost-evaluation resolution.
         noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(j_ref))
-        trial = alpha
-        z_new = None
-        j_new = j
-        for _ in range(config.max_backtracks):
-            candidate = projector(z - trial * g)
-            decrease = float(g @ (z - candidate))
-            j_cand = cost_fn(candidate)
-            # Accept on sufficient decrease, or unconditionally once the
-            # predicted decrease is below cost-evaluation resolution.
-            if j_cand <= j_ref - config.armijo_c * decrease or config.armijo_c * decrease <= noise_floor:
-                z_new, j_new = candidate, j_cand
-                break
-            trial *= config.shrink
-        if z_new is None:
+        step = _armijo_backtrack(
+            z, g, cost_fn, projector, j_ref, alpha, config.shrink, config.armijo_c, config.max_backtracks, noise_floor
+        )
+        if step is None:
             rejected += 1
             break  # no acceptable step: at the numerical floor
+        z_new, j_new = step
         g_new = grad_fn(z_new)
         s = z_new - z
         y = g_new - g

@@ -19,8 +19,6 @@ from .ocp import (
     OcpSpec,
     SolverConfig,
     first_input,
-    horizon_for_delta,
-    make_ocp_spec,
     solve_optimal,
     solver_map,
     warm_start_shift,
@@ -86,7 +84,6 @@ class SimConfig:
     xi0: tuple[float, ...] = (0.0,)
     z0: np.ndarray | None = None
     strategy: Strategy = STRATEGIES["proposed"]
-    seed: int = 0
 
     def __post_init__(self):
         if self.duration_s <= 0.0:
@@ -296,26 +293,25 @@ class ComparisonRow:
 
 def compare_strategies(
     model: PlantModel,
-    spec_template: OcpSpec,
+    specs: list[OcpSpec],
     solver_config: SolverConfig,
     base_config: SimConfig,
-    deltas: list[float],
     skip_fraction: float = 0.1,
     keep_traces: bool = False,
 ) -> list[ComparisonRow]:
-    """Run each strategy at each timescale and tabulate errors and fitted rates.
+    """Run each strategy on each problem and tabulate errors and fitted rates.
 
-    The horizon is recomputed per timescale from the fixed prediction window.
-    Divergence is recorded in the row rather than raised; traces with no
-    usable decay samples get a zero rate (all-zero equilibrium runs) or NaN.
+    Each spec fixes one timescale and its horizon; the rows follow the specs'
+    order. Divergence is recorded in the row rather than raised; traces with
+    no usable decay samples get a zero rate (all-zero equilibrium runs) or NaN.
     """
-    if not deltas:
-        raise ValueError("deltas must be a nonempty list")
+    if not specs:
+        raise ValueError("specs must be a nonempty list")
     rows: list[ComparisonRow] = []
-    for delta in deltas:
-        spec = spec_template.with_delta(delta, horizon_for_delta(delta))
+    for spec in specs:
+        delta = spec.delta
         for strategy in STRATEGIES.values():
-            cfg = replace(base_config, delta=float(delta), strategy=strategy)
+            cfg = replace(base_config, delta=delta, strategy=strategy)
             trace = simulate(model, spec, solver_config, cfg)
             try:
                 fit = fit_rate(trace, skip_fraction)
@@ -327,7 +323,7 @@ def compare_strategies(
                     rate, r2 = math.nan, math.nan
             rows.append(
                 ComparisonRow(
-                    delta=float(delta),
+                    delta=delta,
                     plant="full" if strategy.plant_kind == "full_order" else "reduced",
                     solver=strategy.solver_kind,
                     final_err_theta=trace.final_err_theta,

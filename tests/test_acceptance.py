@@ -22,8 +22,8 @@ from redmpc.ocp import (
 )
 from redmpc.simulate import SimConfig, compare_strategies, fit_rate, simulate
 from redmpc.certify import (
+    InterconnectionConstants,
     SamplingPlan,
-    assemble_interconnection,
     full_certificate,
     kappa_rule,
 )
@@ -41,7 +41,8 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def sweep_rows():
     base = SimConfig(delta=0.01, duration_s=10.0, x0=(1.0, 0.0))
-    rows = compare_strategies(PEND, SPEC_001, CFG, base, [0.01, 0.1, 0.2], keep_traces=True)
+    specs = [make_ocp_spec(d) for d in (0.01, 0.1, 0.2)]
+    rows = compare_strategies(PEND, specs, CFG, base, keep_traces=True)
     return {(r.delta, r.plant, r.solver): r for r in rows}
 
 
@@ -210,7 +211,7 @@ def test_criterion_10_interconnection_machinery(pendulum_report):
     cross_ok = True
     for _ in range(1000):
         vals = rng.uniform(0.05, 5.0, 7)
-        cand = assemble_interconnection(*vals)
+        cand = InterconnectionConstants(*vals)
         delta = rng.uniform(1e-4, 0.3)
         mat = cand.coupling_matrix(delta)
         det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
@@ -239,7 +240,7 @@ def test_criterion_10_interconnection_machinery(pendulum_report):
 
 def test_criterion_11_constant_arithmetic():
     rule = kappa_rule(a3=0.84, a4=1.0, b3=0.5, lip_xi=5.0 / 3.0, lip_g=1.0, lip_T=0.5)
-    ic = assemble_interconnection(
+    ic = InterconnectionConstants(
         c3=1.0, c4=1.0, fast_decrease=0.5, fast_increment=1.0, lip_slow=0.8, lip_h=1.0, lip_G=1.0
     )
     ok = (

@@ -10,7 +10,6 @@ from redmpc.certify import (
     CertificationError,
     InterconnectionConstants,
     SamplingPlan,
-    assemble_interconnection,
     bisect_delta_bar,
     boundary_layer_check,
     closed_loop_decrease_check,
@@ -76,14 +75,17 @@ class TestEstimateLipschitz:
         assert analytic.inflated(1.5) == 1.0
 
 
+def sq_norms(v):
+    return np.sum(np.asarray(v) ** 2, axis=1)
+
+
 class TestQuadraticBounds:
     def test_pendulum_fast_error_closed_form(self):
         # error map is exactly 0.4 * err, independent of the frozen (x, u)
         rng = np.random.default_rng(0)
         errs = rng.uniform(0.1, 2.0, (500, 1)) * rng.choice([-1.0, 1.0], (500, 1))
         stepped = 0.4 * errs
-        sq = lambda v: float(v @ v)
-        b = quadratic_bounds(sq, errs, stepped)
+        b = quadratic_bounds(sq_norms(errs), sq_norms(stepped), errs)
         assert b.lower == pytest.approx(1.0, abs=1e-12)
         assert b.upper == pytest.approx(1.0, abs=1e-12)
         assert b.decrease == pytest.approx(0.84, abs=1e-9)
@@ -93,23 +95,56 @@ class TestQuadraticBounds:
     def test_identity_step_map_fails(self):
         rng = np.random.default_rng(1)
         errs = rng.normal(size=(100, 2))
-        sq = lambda v: float(v @ v)
-        b = quadratic_bounds(sq, errs, errs)
+        b = quadratic_bounds(sq_norms(errs), sq_norms(errs), errs)
         assert not b.ok
         assert b.decrease == pytest.approx(0.0, abs=1e-15)
         assert b.witness is not None
 
     def test_zero_sample_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
-            quadratic_bounds(lambda v: float(v @ v), np.zeros((3, 1)), np.zeros((3, 1)))
+            quadratic_bounds(np.zeros(3), np.zeros(3), np.zeros((3, 1)))
 
     def test_decrease_divisor(self):
         errs = np.array([[1.0], [2.0]])
         stepped = 0.5 * errs
-        sq = lambda v: float(v @ v)
-        plain = quadratic_bounds(sq, errs, stepped).decrease
-        scaled = quadratic_bounds(sq, errs, stepped, decrease_divisor=0.5).decrease
+        plain = quadratic_bounds(sq_norms(errs), sq_norms(stepped), errs).decrease
+        scaled = quadratic_bounds(sq_norms(errs), sq_norms(stepped), errs, decrease_divisor=0.5).decrease
         assert scaled == pytest.approx(2.0 * plain, rel=1e-12)
+
+    def test_matches_reference_loop(self):
+        # arbitrary (non-quadratic) values about a nonzero center, with a
+        # decrease violation planted so that the witness is defined
+        rng = np.random.default_rng(11)
+        center = np.array([0.3, -1.2, 0.7])
+        samples = center + rng.normal(size=(200, 3))
+        values = rng.uniform(0.5, 3.0, 200)
+        values_next = values * rng.uniform(0.1, 0.9, 200)
+        values_next[[57, 140]] = values[[57, 140]] + 1.0
+        b = quadratic_bounds(values, values_next, samples, decrease_divisor=0.25, center=center)
+
+        ratios, dec, worst = [], [], None
+        for k, (v, v_next, s) in enumerate(zip(values, values_next, samples)):
+            e2 = sum((s_i - c_i) ** 2 for s_i, c_i in zip(s, center))
+            ratios.append(v / e2)
+            dec.append((v - v_next) / (0.25 * e2))
+            if worst is None or dec[-1] < dec[worst]:
+                worst = k
+        inc = inc_c = 0.0
+        for i in range(len(samples) - 1):
+            a, c = samples[i], samples[i + 1]
+            gap = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, c)))
+            dv = abs(values[i] - values[i + 1])
+            inc = max(inc, dv / (gap * (math.sqrt(sum(a**2)) + math.sqrt(sum(c**2)))))
+            inc_c = max(inc_c, dv / (gap * (math.sqrt(sum((a - center) ** 2)) + math.sqrt(sum((c - center) ** 2)))))
+
+        assert b.lower == pytest.approx(min(ratios), rel=1e-12)
+        assert b.upper == pytest.approx(max(ratios), rel=1e-12)
+        assert b.decrease == pytest.approx(min(dec), rel=1e-12)
+        assert b.increment == pytest.approx(inc, rel=1e-12)
+        assert b.increment_centered == pytest.approx(inc_c, rel=1e-12)
+        assert not b.ok and b.samples == 200
+        assert b.witness_index == worst
+        assert np.array_equal(b.witness, samples[worst])
 
 
 class TestKappaRule:
@@ -148,7 +183,7 @@ class TestKappaRule:
 
 class TestAssemble:
     def test_hand_computed_example(self):
-        ic = assemble_interconnection(
+        ic = InterconnectionConstants(
             c3=1.0, c4=1.0, fast_decrease=0.5, fast_increment=1.0, lip_slow=0.8, lip_h=1.0, lip_G=1.0
         )
         assert ic.k1 == pytest.approx(1.6, abs=1e-12)
@@ -156,7 +191,7 @@ class TestAssemble:
         assert ic.k3 == pytest.approx(0.64, abs=1e-12)
 
     def test_decoupled_limit(self):
-        ic = assemble_interconnection(
+        ic = InterconnectionConstants(
             c3=1.0, c4=0.0, fast_decrease=1.0, fast_increment=0.0, lip_slow=0.0, lip_h=0.0, lip_G=0.0
         )
         for delta in (0.0, 0.05, 0.2):
@@ -168,13 +203,13 @@ class TestAssemble:
         rng = np.random.default_rng(2)
         for _ in range(200):
             vals = rng.uniform(0.1, 5.0, 7)
-            ic = assemble_interconnection(*vals)
+            ic = InterconnectionConstants(*vals)
             assert ic.p_poly(0.0) == 0.0
 
     def test_p_continuity_linear_envelope(self):
         # p(delta) = O(delta^2), so a slope fitted on a coarse grid dominates
         # the polynomial on any finer grid toward zero.
-        ic = assemble_interconnection(
+        ic = InterconnectionConstants(
             c3=2.0, c4=1.5, fast_decrease=0.5, fast_increment=2.0, lip_slow=1.2, lip_h=3.0, lip_G=1.1
         )
         coarse = np.linspace(1e-3, 1e-2, 50)
@@ -186,7 +221,7 @@ class TestAssemble:
         rng = np.random.default_rng(5)
         for _ in range(300):
             c3, c4, d3, d4, lf, lh, lG = rng.uniform(0.05, 4.0, 7)
-            ic = assemble_interconnection(c3, c4, d3, d4, lf, lh, lG)
+            ic = InterconnectionConstants(c3, c4, d3, d4, lf, lh, lG)
             assert ic.k1 == pytest.approx(2 * c4 * lf, rel=1e-14)
             assert ic.k2 == pytest.approx(2 * c4 * lf**2, rel=1e-14)
             assert ic.k3 == pytest.approx(c4 * lf**2, rel=1e-14)
@@ -202,29 +237,31 @@ class TestAssemble:
 
     def test_missing_constant_listed(self):
         with pytest.raises(CertificationError, match="c4"):
-            assemble_interconnection(
+            InterconnectionConstants(
                 c3=1.0, c4=math.nan, fast_decrease=0.5, fast_increment=1.0, lip_slow=1.0, lip_h=1.0, lip_G=1.0
             )
 
     def test_determinant_identity_and_sylvester_equivalence(self):
-        # eigenvalue PD test == leading-minors test, and det(Q) equals
-        # delta*c3*b3 - p(delta) exactly (the scalar form of the condition)
+        # eigenvalue PD test == leading-minors test == condition_holds, and
+        # det(Q) equals delta*c3*b3 - p(delta) exactly (the scalar form of the
+        # condition). The last input is positive definite at delta = 3 > 1
+        # (eigenvalues 0.045 and 2.22).
         rng = np.random.default_rng(3)
-        for _ in range(1000):
-            vals = rng.uniform(0.05, 5.0, 7)
-            ic = assemble_interconnection(*vals)
-            delta = rng.uniform(1e-4, 0.3)
+        cases = [(rng.uniform(0.05, 5.0, 7), rng.uniform(1e-4, 0.3)) for _ in range(1000)]
+        cases.append(((0.737, 0.054, 0.141, 0.008, 0.407, 0.456, 0.303), 3.0))
+        for vals, delta in cases:
+            ic = InterconnectionConstants(*vals)
             mat = ic.coupling_matrix(delta)
             det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
             eig_pd = bool(np.all(np.linalg.eigvalsh(mat) > 0))
             minors_pd = bool(mat[0, 0] > 0 and det > 0)
-            assert eig_pd == minors_pd
+            assert eig_pd == minors_pd == bool(ic.condition_holds(delta))
             assert abs(det - (delta * ic.c3 * ic.fast_decrease - ic.p_poly(delta))) <= 1e-10
 
 
 class TestBisect:
     def test_cap_limited_decoupled(self):
-        ic = assemble_interconnection(
+        ic = InterconnectionConstants(
             c3=1.0, c4=0.0, fast_decrease=1.0, fast_increment=0.0, lip_slow=0.0, lip_h=0.0, lip_G=0.0
         )
         res = bisect_delta_bar(ic, [0.2])
@@ -232,7 +269,7 @@ class TestBisect:
         assert "cap" in res.reason
 
     def test_nonpositive_c3_returns_none(self):
-        ic = assemble_interconnection(
+        ic = InterconnectionConstants(
             c3=0.0, c4=1.0, fast_decrease=0.5, fast_increment=1.0, lip_slow=1.0, lip_h=1.0, lip_G=1.0
         )
         res = bisect_delta_bar(ic, [0.2])
@@ -240,7 +277,7 @@ class TestBisect:
         assert "reduced-system decrease constant nonpositive" in res.reason
 
     def test_boundary_found_and_condition_holds_below(self):
-        ic = assemble_interconnection(
+        ic = InterconnectionConstants(
             c3=1.0, c4=1.0, fast_decrease=0.5, fast_increment=1.0, lip_slow=0.8, lip_h=1.0, lip_G=1.0
         )
         res = bisect_delta_bar(ic, [0.2])
@@ -249,7 +286,7 @@ class TestBisect:
         assert ic.condition_holds(res.value * 0.5)
 
     def test_multiple_caps_take_minimum(self):
-        ic = assemble_interconnection(
+        ic = InterconnectionConstants(
             c3=1.0, c4=0.0, fast_decrease=1.0, fast_increment=0.0, lip_slow=0.0, lip_h=0.0, lip_G=0.0
         )
         res = bisect_delta_bar(ic, [0.2, 0.05])
@@ -293,7 +330,8 @@ class TestBoundaryLayer:
             PEND, spec, CFG, kappa=0.0, plan=plan, states=x, error_samples=(xi_err, z_err)
         )
         assert not res.passed
-        assert res.witness is not None
+        wx, wxi, wz = res.witness
+        assert np.array_equal(wx, x[0]) and np.array_equal(wxi, xi_err[0]) and np.array_equal(wz, z_err[0])
 
 
 class TestFullCertificate:

@@ -83,7 +83,7 @@ class TestConfigParsing:
         assert raw == {"ocp": {"delta": "0.1"}}
 
     def test_manifest_reparses_to_same_values(self):
-        cfg = load_config(None, {"ocp": {"delta": "0.05"}, "sim": {"seed": "3"}})
+        cfg = load_config(None, {"ocp": {"delta": "0.05"}, "certify": {"seed": "3"}})
         text = manifest_text(cfg, "x.y", "simulate", "outdir")
         reparsed = load_config(None, parse_config_text(text))
         assert reparsed.values == cfg.values
@@ -120,7 +120,7 @@ class TestCliSimulate:
 
     def test_manifest_round_trip_byte_identical(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
-        cfgfile.write_text("[ocp]\ndelta = 0.1\n[sim]\nduration_s = 2.0\nseed = 5\n")
+        cfgfile.write_text("[ocp]\ndelta = 0.1\n[sim]\nduration_s = 2.0\ntheta0 = 0.8\n")
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", str(cfgfile), "--out", str(out1)]) == EXIT_OK
         assert main(["simulate", "--config", str(out1 / "manifest.txt"), "--out", str(out2)]) == EXIT_OK
@@ -189,9 +189,20 @@ class TestCliSweep:
         rc = main(["sweep", "--out", str(tmp_path / "o"), "--deltas", "0.1,-0.2"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("horizon", ["horizon_steps = 3", "horizon_window_s = 0.2"])
+    def test_horizon_keys_set_the_horizon(self, tmp_path, horizon):
+        runs = {}
+        for name, ocp in (("default", ""), ("set", horizon)):
+            cfgfile = tmp_path / f"{name}.cfg"
+            cfgfile.write_text(f"[ocp]\n{ocp}\n[sim]\nduration_s = 1.0\n")
+            out = tmp_path / name
+            assert main(["sweep", "--config", str(cfgfile), "--out", str(out), "--deltas", "0.1"]) == EXIT_OK
+            runs[name] = (out / "comparison.csv").read_text()
+        assert runs["set"] != runs["default"]
+
     def test_manifest_round_trip_byte_identical(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
-        cfgfile.write_text("[sim]\nduration_s = 1.5\nseed = 9\n")
+        cfgfile.write_text("[sim]\nduration_s = 1.5\ntheta0 = 0.9\n")
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["sweep", "--config", str(cfgfile), "--out", str(out1), "--deltas", "0.2"]) == EXIT_OK
         assert main(["sweep", "--config", str(out1 / "manifest.txt"), "--out", str(out2), "--deltas", "0.2"]) == EXIT_OK

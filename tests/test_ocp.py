@@ -72,19 +72,6 @@ class TestSpecValidation:
                 delta=0.01,
             )
 
-    def test_finite_state_bounds_rejected_by_solver(self):
-        spec = OcpSpec(
-            horizon_N=2,
-            state_weight=np.eye(2),
-            input_weight=np.eye(1),
-            terminal_weight=np.eye(2),
-            input_box=(np.array([-1.0]), np.array([1.0])),
-            delta=0.01,
-            state_box=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
-        )
-        with pytest.raises(NotImplementedError, match="state_box"):
-            solver_map(spec, PEND, CFG, [0.0, 0.0], np.zeros(2))
-
 
 class TestRollout:
     def test_equilibrium(self):

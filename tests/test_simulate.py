@@ -158,7 +158,7 @@ class TestCompareStrategies:
     def test_equilibrium_rows_all_zero(self):
         spec = make_ocp_spec(0.1)
         base = SimConfig(delta=0.1, duration_s=2.0, x0=(0.0, 0.0))
-        rows = compare_strategies(PEND, spec, CFG, base, [0.1])
+        rows = compare_strategies(PEND, [spec], CFG, base)
         assert len(rows) == 3
         for r in rows:
             assert r.final_err_theta == 0.0
@@ -167,15 +167,14 @@ class TestCompareStrategies:
             assert not r.diverged
 
     def test_row_grid(self):
-        spec = make_ocp_spec(0.1)
         base = SimConfig(delta=0.1, duration_s=1.0)
-        rows = compare_strategies(PEND, spec, CFG, base, [0.1, 0.2])
+        rows = compare_strategies(PEND, [make_ocp_spec(0.1), make_ocp_spec(0.2)], CFG, base)
         assert len(rows) == 6
         assert [r.delta for r in rows] == [0.1, 0.1, 0.1, 0.2, 0.2, 0.2]
 
     def test_empty_deltas_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            compare_strategies(PEND, make_ocp_spec(0.1), CFG, SimConfig(delta=0.1), [])
+            compare_strategies(PEND, [], CFG, SimConfig(delta=0.1))
 
 
 class TestCsvOutputs:
@@ -193,7 +192,7 @@ class TestCsvOutputs:
 
     def test_comparison_schema(self, tmp_path):
         spec = make_ocp_spec(0.2)
-        rows = compare_strategies(PEND, spec, CFG, SimConfig(delta=0.2, duration_s=1.0), [0.2])
+        rows = compare_strategies(PEND, [spec], CFG, SimConfig(delta=0.2, duration_s=1.0))
         path = tmp_path / "cmp.csv"
         write_comparison_csv(rows, path)
         lines = path.read_text().splitlines()
