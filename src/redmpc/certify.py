@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -94,12 +94,37 @@ class SamplingPlan:
     safety_factor: float = 1.5
     delta_cap: float = 0.2
 
-    def ranges_dict(self) -> dict:
+    def __post_init__(self):
+        for f in fields(self):  # every int field but the seed is a sample count
+            if f.type == "int" and f.name != "seed" and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be at least 1, got {getattr(self, f.name)}")
+        for name in ("state_ball", "error_ball", "near_eq_ball", "delta_cap"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 <= self.error_min_norm < self.error_ball:
+            raise ValueError(f"error_min_norm must lie in [0, error_ball), got {self.error_min_norm}")
+
+    def box(self, model: PlantModel, *parts: str) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners of the sampled box over ``parts``, concatenated in order.
+
+        Each part is "x" (plant state), "xi" (extra state) or "u" (input). A
+        two-state plant samples its state from ``theta_range`` x
+        ``omega_range``; any other plant from +-4 ``state_ball`` per component.
+        """
+        ball = 4.0 * self.state_ball
+        x = [self.theta_range, self.omega_range] if model.n == 2 else [(-ball, ball)] * model.n
+        ranges = {"x": x, "xi": [self.xi_range] * model.p, "u": [self.u_range] * model.m}
+        lo, hi = np.array([r for part in parts for r in ranges[part]], dtype=float).T
+        return lo, hi
+
+    def ranges_dict(self, model: PlantModel) -> dict:
+        """The ranges a certificate of ``model`` samples from, as plain lists and floats."""
+        state_lo, state_hi = self.box(model, "x")
         return {
-            "theta": self.theta_range,
-            "omega": self.omega_range,
-            "xi": self.xi_range,
-            "u": self.u_range,
+            "state_lo": state_lo.tolist(),
+            "state_hi": state_hi.tolist(),
+            "xi": list(self.xi_range),
+            "u": list(self.u_range),
             "state_ball": self.state_ball,
             "error_ball": self.error_ball,
             "error_min_norm": self.error_min_norm,
@@ -204,11 +229,13 @@ def estimate_lipschitz(
     return Estimate(value=best, tag=SAMPLED, samples=count)
 
 
-def _max_increment(dv: np.ndarray, gaps: np.ndarray, norms: np.ndarray) -> float:
-    """Max of dv / (gap * (|a| + |b|)) over consecutive pairs with a positive scale."""
-    scale = gaps * (norms[:-1] + norms[1:])
-    keep = (gaps >= 1e-12) & (scale > 0.0)
-    return float(np.max(dv[keep] / scale[keep], initial=0.0))
+def _max_pair_quotient(rises: np.ndarray, gaps: np.ndarray, scale: np.ndarray, min_gap: float) -> float:
+    """Max of rises / scale over consecutive sample pairs (entry i: samples i and i + 1).
+
+    A pair counts when its gap is at least ``min_gap`` and its scale is positive; none gives 0.
+    """
+    keep = (gaps >= min_gap) & (scale > 0.0)
+    return float(np.max(rises[keep] / scale[keep], initial=0.0))
 
 
 def quadratic_bounds(
@@ -245,16 +272,20 @@ def quadratic_bounds(
 
     gaps = np.linalg.norm(np.diff(samples, axis=0), axis=1)
     dv = np.abs(np.diff(values))
+
+    def increment(norms: np.ndarray) -> float:
+        return _max_pair_quotient(dv, gaps, gaps * (norms[:-1] + norms[1:]), 1e-12)
+
     return QuadraticBounds(
         lower=float(np.min(ratios)),
         upper=float(np.max(ratios)),
         decrease=decrease,
-        increment=_max_increment(dv, gaps, np.linalg.norm(samples, axis=1)),
+        increment=increment(np.linalg.norm(samples, axis=1)),
         samples=samples.shape[0],
         ok=ok,
         witness=None if ok else samples[k_min].copy(),
         witness_index=None if ok else k_min,
-        increment_centered=_max_increment(dv, gaps, np.sqrt(norms2)),
+        increment_centered=increment(np.sqrt(norms2)),
     )
 
 
@@ -319,47 +350,27 @@ def boundary_layer_check(
     spec: OcpSpec,
     solver_config: SolverConfig,
     kappa: float,
-    plan: SamplingPlan,
-    states: np.ndarray | None = None,
-    zstars: list[np.ndarray] | None = None,
-    error_samples: tuple[np.ndarray, np.ndarray] | None = None,
+    states: np.ndarray,
+    zstars: list[np.ndarray],
+    xi_errs: np.ndarray,
+    z_errs: np.ndarray,
 ) -> BoundaryLayerResult:
     """One-step decrease of the composite fast value function, frozen slow state.
 
-    For each sampled slow state x (with its minimizer solved to tolerance) and
-    each error sample (xi_err, z_err), the fast pair (extra state, optimizer
-    state) is stepped once with x frozen and the composite value
-    ||xi_err||^2 + kappa * ||z_err||^2 must strictly decrease. d1..d4 are the
-    quadratic bounds of that composite over the stacked errors [xi_err, z_err];
-    any violation fails with the witness (x, xi_err, z_err).
+    At each slow state ``states[k]``, with its minimizer ``zstars[k]``, each
+    error sample (``xi_errs[k][i]``, ``z_errs[k][i]``) places the fast pair
+    (extra state, optimizer state) off its equilibrium; the pair is stepped
+    once with the slow state frozen and the composite value ||xi_err||^2 +
+    kappa * ||z_err||^2 must strictly decrease. ``xi_errs`` has shape
+    (states, samples, p) and ``z_errs`` (states, samples, N*m). d1..d4 are the
+    quadratic bounds of that composite over the stacked errors [xi_err,
+    z_err]; any violation fails with the witness (x, xi_err, z_err).
     """
-    rng = np.random.default_rng(plan.seed + 1)
-    n, p, m = model.n, model.p, model.m
-    nz = spec.horizon_N * m
-    if states is None:
-        states = _ball_samples(rng, n, plan.n_states, plan.state_ball)
-    states = np.atleast_2d(states)
-    per_state = max(1, plan.boundary_samples // states.shape[0])
-    if error_samples is not None:
-        xi_errs_all, z_errs_all = error_samples
-        per_state = xi_errs_all.shape[0]
-
+    m, p = model.m, model.p
     sample_states, errors = [], []  # frozen slow state and stacked [xi_err, z_err] per sample
     values, values_next = [], []  # composite value at each sample and at its one-step image
-    for k, x in enumerate(states):
-        if zstars is not None:
-            zstar = zstars[k]
-        else:
-            sol = solve_optimal(spec, model, solver_config, x, np.zeros(nz))
-            if not sol.converged:
-                raise CertificationError(f"minimizer solve did not converge at sampled state {x}")
-            zstar = sol.z
-        if error_samples is None:
-            xi_errs = _ball_samples(rng, p, per_state, plan.error_ball, plan.error_min_norm)
-            z_errs = _ball_samples(rng, nz, per_state, plan.error_ball, plan.error_min_norm)
-        else:
-            xi_errs, z_errs = xi_errs_all, z_errs_all
-        for xi_err, z_err in zip(xi_errs, z_errs):
+    for x, zstar, state_xi_errs, state_z_errs in zip(states, zstars, xi_errs, z_errs):
+        for xi_err, z_err in zip(state_xi_errs, state_z_errs):
             z = zstar + z_err
             u = first_input(z, m)
             xi = xi_err + model.equilibrium_map(x, u)
@@ -498,16 +509,14 @@ class DeltaBarSearch:
     reason: str
 
 
-def bisect_delta_bar(constants: InterconnectionConstants, delta_caps: list[float] | None = None) -> DeltaBarSearch:
-    """Largest timescale below the caps satisfying the coupling conditions.
+def bisect_delta_bar(constants: InterconnectionConstants, cap: float) -> DeltaBarSearch:
+    """Largest timescale up to ``cap`` satisfying the coupling conditions.
 
     Requires both leading minors of the coupling matrix to be positive (see
     ``InterconnectionConstants.condition_holds``); bisects the boundary to
     relative tolerance 1e-6. A ``None`` result is a valid outcome, not an
     error.
     """
-    caps = [0.2] if not delta_caps else [float(c) for c in delta_caps]
-    cap = min(caps)
     if cap <= 0.0:
         return DeltaBarSearch(None, "delta cap must be positive")
     if constants.c3 <= DECREASE_FLOOR:
@@ -552,7 +561,6 @@ def closed_loop_decrease_check(
     kappa: float,
     delta: float,
     plan: SamplingPlan,
-    count: int | None = None,
 ) -> ClosedLoopDecreaseResult:
     """Composite value decrease along one interconnected step at a given timescale.
 
@@ -560,12 +568,14 @@ def closed_loop_decrease_check(
     fast composite ||xi - xi_eq(x, u*(x))||^2 + kappa * ||z - z*(x)||^2. The
     prediction horizon stays at the certified spec's value while the
     timescale is substituted, so the optimizer state keeps its dimension.
+    The plan sets the sample count (``closed_loop_samples``), the state ball
+    about x* (``near_eq_ball``) and the error balls.
     """
     rng = np.random.default_rng(plan.seed + 2)
     spec_d = spec.with_delta(delta)
     n, p, m = model.n, model.p, model.m
     nz = spec_d.horizon_N * m
-    count = plan.closed_loop_samples if count is None else int(count)
+    count = plan.closed_loop_samples
     x_star = model.x_star
 
     cache: dict[bytes, tuple[np.ndarray, float]] = {}
@@ -624,6 +634,9 @@ class Verdict:
     passed: bool
     detail: str
 
+    def __post_init__(self):
+        self.passed = bool(self.passed)
+
     def line(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
@@ -636,6 +649,7 @@ class CertificateReport:
     delta: float
     horizon_N: int
     plan: SamplingPlan
+    ranges: dict  # the plan's ranges for this model (``SamplingPlan.ranges_dict``)
     constants: dict[str, Estimate] = field(default_factory=dict)
     fast_bounds: QuadraticBounds | None = None
     optimizer_bounds: QuadraticBounds | None = None
@@ -653,13 +667,10 @@ class CertificateReport:
     def overall_pass(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
-    def add_verdict(self, name: str, passed: bool, detail: str):
-        self.verdicts.append(Verdict(name, bool(passed), detail))
-
     def to_text(self) -> str:
         lines = [
             f"stability certificate: model={self.model_name} delta={self.delta} horizon={self.horizon_N}",
-            f"sampling ranges: {self.plan.ranges_dict()}",
+            f"sampling ranges: {self.ranges}",
             f"safety factor on sampled Lipschitz constants: {self.plan.safety_factor}",
             "",
             "constants:",
@@ -709,7 +720,7 @@ class CertificateReport:
             "model": self.model_name,
             "delta": self.delta,
             "horizon_N": self.horizon_N,
-            "ranges": {k: list(v) if isinstance(v, tuple) else v for k, v in self.plan.ranges_dict().items()},
+            "ranges": self.ranges,
             "safety_factor": self.plan.safety_factor,
             "constants": {k: {"value": e.value, "tag": e.tag, "samples": e.samples} for k, e in self.constants.items()},
             "fast_bounds": self.fast_bounds.as_dict() if self.fast_bounds else None,
@@ -744,167 +755,114 @@ class CertificateReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _state_box(model: PlantModel, plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray]:
-    if model.n == 2:
-        lo = np.array([plan.theta_range[0], plan.omega_range[0]])
-        hi = np.array([plan.theta_range[1], plan.omega_range[1]])
-    else:
-        lo = np.full(model.n, -plan.state_ball * 4)
-        hi = np.full(model.n, plan.state_ball * 4)
-    return lo, hi
+# Certification stages, run in order by full_certificate. Each takes its inputs
+# explicitly and returns ``(result, verdicts)``. ``model``, ``spec``,
+# ``solver_config`` and ``plan`` are full_certificate's arguments; ``rng`` is the
+# main sample stream, drawn from by the sampling stages in turn; ``states`` and
+# ``zstars`` are the sampled slow states and their minimizers; ``constants``
+# maps names to the ``Estimate``s found so far.
 
 
-def full_certificate(
-    model: PlantModel,
-    spec: OcpSpec,
-    solver_config: SolverConfig,
-    plan: SamplingPlan | None = None,
-    check_closed_loop: bool = True,
-) -> CertificateReport:
-    """Run the whole certification chain and report every constant and verdict.
-
-    Chains: Lipschitz estimation, quadratic bounds for the fast / optimizer /
-    reduced value functions, the composite-weight rule, the boundary-layer
-    decrease check, interconnection assembly, the timescale bisection, and
-    (optionally) the sampled closed-loop decrease at half the certified bound.
-    Failures propagate into the report's verdicts; the pipeline never aborts
-    silently.
-    """
-    plan = plan or SamplingPlan()
-    rng = np.random.default_rng(plan.seed)
-    report = CertificateReport(model_name=model.name, delta=spec.delta, horizon_N=spec.horizon_N, plan=plan)
-    n, p, m = model.n, model.p, model.m
-    nz = spec.horizon_N * m
-    delta = spec.delta
-    x_star = model.x_star
-    state_lo, state_hi = _state_box(model, plan)
-    u_lo = np.full(m, plan.u_range[0])
-    u_hi = np.full(m, plan.u_range[1])
-    xi_lo = np.full(p, plan.xi_range[0])
-    xi_hi = np.full(p, plan.xi_range[1])
-
-    # 1) equilibrium identity of the fast map
-    pts = _uniform_stream(rng, np.concatenate([state_lo, u_lo]), np.concatenate([state_hi, u_hi]), plan.equilibrium_samples)
-    deltas_eq = 10.0 ** rng.uniform(-3, math.log10(plan.delta_cap), plan.equilibrium_samples)
-    worst_res = 0.0
-    for row, d in zip(pts, deltas_eq):
+def _equilibrium_identity(model, plan, rng):
+    """The fast map fixes its equilibrium: g(xi_eq(x, u), x, u, delta) = xi_eq(x, u)."""
+    n = model.n
+    pts = _uniform_stream(rng, *plan.box(model, "x", "u"), plan.equilibrium_samples)
+    deltas = 10.0 ** rng.uniform(-3, math.log10(plan.delta_cap), plan.equilibrium_samples)
+    worst = 0.0
+    for row, d in zip(pts, deltas):
         x, u = row[:n], row[n:]
         xi_eq = model.equilibrium_map(x, u)
-        res = float(np.linalg.norm(model.extra_map(xi_eq, x, u, d) - xi_eq))
-        worst_res = max(worst_res, res)
-    report.add_verdict(
-        "equilibrium-identity",
-        worst_res <= 1e-12,
-        f"max |g(xi_eq,x,u,delta) - xi_eq| = {worst_res:.3e} over {plan.equilibrium_samples} samples (tol 1e-12)",
-    )
+        worst = max(worst, float(np.linalg.norm(model.extra_map(xi_eq, x, u, d) - xi_eq)))
+    detail = f"max |g(xi_eq,x,u,delta) - xi_eq| = {worst:.3e} over {plan.equilibrium_samples} samples (tol 1e-12)"
+    return worst, [Verdict("equilibrium-identity", worst <= 1e-12, detail)]
 
-    # 2) Lipschitz constants of the plant maps
-    def slow_coupling_ratio() -> float:
-        worst = 0.0
-        pairs = _uniform_stream(
-            rng,
-            np.concatenate([state_lo, xi_lo, u_lo, xi_lo, u_lo]),
-            np.concatenate([state_hi, xi_hi, u_hi, xi_hi, u_hi]),
-            plan.lipschitz_pairs,
-        )
-        for row in pairs:
-            x = row[:n]
-            xi_a, u_a = row[n : n + p], row[n + p : n + p + m]
-            xi_b, u_b = row[n + p + m : n + 2 * p + m], row[n + 2 * p + m :]
-            gap = float(np.linalg.norm(xi_a - xi_b)) + float(np.linalg.norm(u_a - u_b))
-            if gap < 1e-12:
-                continue
-            diff = float(
-                np.linalg.norm(model.target_map(x, xi_a, u_a, delta) - model.target_map(x, xi_b, u_b, delta))
-            )
-            worst = max(worst, diff / (delta * gap))
-        return worst
 
-    sampled_slow = slow_coupling_ratio()
-    lip_fast_in = Estimate(model.lip_target_fast, ANALYTIC) if model.lip_target_fast is not None else Estimate(sampled_slow, SAMPLED, plan.lipschitz_pairs)
-    report.constants["lip_slow_coupling"] = lip_fast_in
-    slow_ok = model.lip_target_fast is None or sampled_slow <= model.lip_target_fast * (1 + 1e-9)
-    report.add_verdict(
-        "slow-coupling",
-        slow_ok,
-        f"sampled coupling ratio {sampled_slow:.6g} vs analytic {model.lip_target_fast}",
-    )
-
-    report.constants["lip_extra"] = (
-        Estimate(model.lip_extra, ANALYTIC)
-        if model.lip_extra is not None
-        else estimate_lipschitz(
+def _plant_lipschitz(model, plan, rng, delta):
+    """Lipschitz constants of the plant maps: slow coupling, extra map, equilibrium map."""
+    n, p, m = model.n, model.p, model.m
+    sampled = 0.0  # max |f(x, xi_a, u_a) - f(x, xi_b, u_b)| / (delta (|xi_a - xi_b| + |u_a - u_b|))
+    for row in _uniform_stream(rng, *plan.box(model, "x", "xi", "u", "xi", "u"), plan.lipschitz_pairs):
+        x = row[:n]
+        xi_a, u_a = row[n : n + p], row[n + p : n + p + m]
+        xi_b, u_b = row[n + p + m : n + 2 * p + m], row[n + 2 * p + m :]
+        gap = float(np.linalg.norm(xi_a - xi_b)) + float(np.linalg.norm(u_a - u_b))
+        if gap < 1e-12:
+            continue
+        diff = float(np.linalg.norm(model.target_map(x, xi_a, u_a, delta) - model.target_map(x, xi_b, u_b, delta)))
+        sampled = max(sampled, diff / (delta * gap))
+    analytic = model.lip_target_fast
+    constants = {
+        "lip_slow_coupling": Estimate(analytic, ANALYTIC)
+        if analytic is not None
+        else Estimate(sampled, SAMPLED, plan.lipschitz_pairs),
+        "lip_extra": estimate_lipschitz(
             lambda v: model.extra_map(v[:p], v[p : p + n], v[p + n :], delta),
-            np.concatenate([xi_lo, state_lo, u_lo]),
-            np.concatenate([xi_hi, state_hi, u_hi]),
+            *plan.box(model, "xi", "x", "u"),
             plan.lipschitz_pairs,
             seed=plan.seed + 3,
-        )
-    )
-    report.constants["lip_equilibrium"] = (
-        Estimate(model.lip_equilibrium, ANALYTIC)
-        if model.lip_equilibrium is not None
-        else estimate_lipschitz(
+            analytic=model.lip_extra,
+        ),
+        "lip_equilibrium": estimate_lipschitz(
             lambda v: model.equilibrium_map(v[:n], v[n:]),
-            np.concatenate([state_lo, u_lo]),
-            np.concatenate([state_hi, u_hi]),
+            *plan.box(model, "x", "u"),
             plan.lipschitz_pairs,
             seed=plan.seed + 4,
-        )
-    )
+            analytic=model.lip_equilibrium,
+        ),
+    }
+    detail = f"sampled coupling ratio {sampled:.6g} vs analytic {analytic}"
+    return constants, [Verdict("slow-coupling", analytic is None or sampled <= analytic * (1 + 1e-9), detail)]
 
-    # 3) fast value function bounds (a-constants)
-    fast_pts = _uniform_stream(rng, np.concatenate([state_lo, u_lo]), np.concatenate([state_hi, u_hi]), plan.fast_samples)
-    xi_errs = _ball_samples(rng, p, plan.fast_samples, plan.error_ball * 2.0, 1e-3)
-    stepped = np.empty_like(xi_errs)
-    for i, (row, e) in enumerate(zip(fast_pts, xi_errs)):
+
+def _fast_bounds(model, plan, rng, delta):
+    """a-constants: quadratic bounds of the fast error ||xi - xi_eq(x, u)||^2 at frozen (x, u)."""
+    n = model.n
+    pts = _uniform_stream(rng, *plan.box(model, "x", "u"), plan.fast_samples)
+    errors = _ball_samples(rng, model.p, plan.fast_samples, plan.error_ball * 2.0, 1e-3)
+    stepped = np.empty_like(errors)
+    for i, (row, e) in enumerate(zip(pts, errors)):
         x, u = row[:n], row[n:]
         xi_eq = model.equilibrium_map(x, u)
         stepped[i] = model.extra_map(e + xi_eq, x, u, delta) - xi_eq
-    fast_bounds = quadratic_bounds(np.sum(xi_errs**2, axis=1), np.sum(stepped**2, axis=1), xi_errs)
-    report.fast_bounds = fast_bounds
-    report.add_verdict(
-        "fast-error-decrease",
-        fast_bounds.ok,
-        f"a3 = {fast_bounds.decrease:.6g} over {fast_bounds.samples} samples"
-        + ("" if fast_bounds.ok else f"; witness error {fast_bounds.witness}"),
+    bounds = quadratic_bounds(np.sum(errors**2, axis=1), np.sum(stepped**2, axis=1), errors)
+    detail = f"a3 = {bounds.decrease:.6g} over {bounds.samples} samples" + (
+        "" if bounds.ok else f"; witness error {bounds.witness}"
     )
+    return bounds, [Verdict("fast-error-decrease", bounds.ok, detail)]
 
-    # 4) sampled states with solved minimizers (shared by the remaining stages)
-    states = _ball_samples(rng, n, plan.n_states, plan.state_ball)
-    zstars: list[np.ndarray] = []
-    solves_ok = True
-    for x in states:
-        sol = solve_optimal(spec, model, solver_config, x, np.zeros(nz))
-        solves_ok &= sol.converged
-        zstars.append(sol.z)
-    if not solves_ok:
-        report.add_verdict("minimizer-solves", False, "solve-to-tolerance failed at a sampled state")
 
-    # optimizer value function bounds (b-constants), frozen state per pair
-    z_samples = []
-    z_stepped = []
+def _minimizer_solves(model, spec, solver_config, plan, rng):
+    """Sampled slow states and their minimizers solved to tolerance, shared by the later fast stages."""
+    states = _ball_samples(rng, model.n, plan.n_states, plan.state_ball)
+    sols = [solve_optimal(spec, model, solver_config, x, np.zeros(spec.horizon_N * model.m)) for x in states]
+    verdicts = []
+    if not all(sol.converged for sol in sols):
+        verdicts.append(Verdict("minimizer-solves", False, "solve-to-tolerance failed at a sampled state"))
+    return (states, [sol.z for sol in sols]), verdicts
+
+
+def _optimizer_bounds(model, spec, solver_config, plan, rng, states, zstars):
+    """b-constants: quadratic bounds of the optimizer error ||z - z*(x)||^2, frozen state per pair."""
+    nz = spec.horizon_N * model.m
+    errors, stepped = [], []
     for x, zstar in zip(states, zstars):
-        errs = _ball_samples(rng, nz, plan.optimizer_pairs_per_state, plan.error_ball, plan.error_min_norm)
-        for e in errs:
+        for e in _ball_samples(rng, nz, plan.optimizer_pairs_per_state, plan.error_ball, plan.error_min_norm):
             z_next, _ = iterate_map(spec, model, solver_config, x, zstar + e)
-            z_samples.append(e)
-            z_stepped.append(z_next - zstar)
-    z_samples, z_stepped = np.array(z_samples), np.array(z_stepped)
-    optimizer_bounds = quadratic_bounds(np.sum(z_samples**2, axis=1), np.sum(z_stepped**2, axis=1), z_samples)
-    report.optimizer_bounds = optimizer_bounds
-    report.add_verdict(
-        "optimizer-decrease",
-        optimizer_bounds.ok,
-        f"b3 = {optimizer_bounds.decrease:.6g} over {optimizer_bounds.samples} frozen-state pairs",
-    )
+            errors.append(e)
+            stepped.append(z_next - zstar)
+    errors, stepped = np.array(errors), np.array(stepped)
+    bounds = quadratic_bounds(np.sum(errors**2, axis=1), np.sum(stepped**2, axis=1), errors)
+    detail = f"b3 = {bounds.decrease:.6g} over {bounds.samples} frozen-state pairs"
+    return bounds, [Verdict("optimizer-decrease", bounds.ok, detail)]
 
-    # Lipschitz constants of the iteration map and minimizer map
-    lip_T = 0.0
-    lip_G = 0.0
-    pair_count = max(1, plan.map_pairs // max(1, len(states)))
+
+def _map_lipschitz(model, spec, solver_config, plan, rng, states, zstars):
+    """Sampled Lipschitz constants of the iteration map (lip_T) and the stacked fast map (lip_G)."""
+    p, m, delta = model.p, model.m, spec.delta
+    nz = spec.horizon_N * m
+    lip_T = lip_G = 0.0
     for x, zstar in zip(states, zstars):
-        for _ in range(pair_count):
+        for _ in range(max(1, plan.map_pairs // max(1, len(states)))):
             za = zstar + _ball_samples(rng, nz, 1, plan.error_ball, 1e-6)[0]
             zb = zstar + _ball_samples(rng, nz, 1, plan.error_ball, 1e-6)[0]
             ta, _ = iterate_map(spec, model, solver_config, x, za)
@@ -921,143 +879,186 @@ def full_certificate(
             if wgap > 1e-12:
                 gdiff = math.sqrt(float(np.linalg.norm(ga - gb)) ** 2 + float(np.linalg.norm(ta - tb)) ** 2)
                 lip_G = max(lip_G, gdiff / wgap)
-    report.constants["lip_T"] = Estimate(lip_T, SAMPLED, plan.map_pairs)
-    report.constants["lip_G"] = Estimate(lip_G, SAMPLED, plan.map_pairs)
+    return {"lip_T": Estimate(lip_T, SAMPLED, plan.map_pairs), "lip_G": Estimate(lip_G, SAMPLED, plan.map_pairs)}, []
 
-    # multistart uniqueness probe
+
+def _multistart(model, spec, solver_config, plan, rng, states, zstars):
+    """Uniqueness probe: solves from random starts in the input box must meet the minimizer."""
+    box_lo, box_hi = np.tile(spec.input_box[0], spec.horizon_N), np.tile(spec.input_box[1], spec.horizon_N)
     spread = 0.0
-    box_lo, box_hi = spec.input_box
     for x, zstar in zip(states[: plan.multistart_states], zstars[: plan.multistart_states]):
         finals = [zstar]
         for _ in range(plan.multistart_points - 1):
-            z0 = _uniform_stream(rng, np.tile(box_lo, spec.horizon_N), np.tile(box_hi, spec.horizon_N), 1)[0]
-            sol = solve_optimal(spec, model, solver_config, x, z0)
-            finals.append(sol.z)
+            z0 = _uniform_stream(rng, box_lo, box_hi, 1)[0]
+            finals.append(solve_optimal(spec, model, solver_config, x, z0).z)
         for i in range(len(finals)):
             for j in range(i + 1, len(finals)):
                 spread = max(spread, float(np.linalg.norm(finals[i] - finals[j])))
-    report.multistart_spread = spread
-    report.add_verdict(
-        "minimizer-uniqueness",
-        spread <= 1e-4,
-        f"multistart spread {spread:.3e} over {plan.multistart_states} states x {plan.multistart_points} starts",
-    )
+    detail = f"multistart spread {spread:.3e} over {plan.multistart_states} states x {plan.multistart_points} starts"
+    return spread, [Verdict("minimizer-uniqueness", spread <= 1e-4, detail)]
 
-    # 5) composite weight and boundary-layer decrease
-    a3, a4 = fast_bounds.decrease, 1.0  # squared-norm candidate: increment coefficient is exactly 1
-    b3 = optimizer_bounds.decrease
-    lip_xi = report.constants["lip_equilibrium"].inflated(plan.safety_factor)
-    lip_g = report.constants["lip_extra"].inflated(plan.safety_factor)
-    lip_T_used = report.constants["lip_T"].inflated(plan.safety_factor)
+
+def _boundary_layer(model, spec, solver_config, plan, constants, fast_bounds, optimizer_bounds, states, zstars):
+    """Composite weight from the a- and b-constants, then the boundary-layer decrease check.
+
+    The error samples come from their own stream, seeded ``plan.seed + 1``:
+    per state, the extra-state errors and then the optimizer errors. Returns
+    ``None`` with a failed ``composite-weight`` verdict when no weight exists.
+    """
+    factor = plan.safety_factor
     try:
-        rule = kappa_rule(a3, a4, b3, lip_xi, lip_g, lip_T_used)
+        rule = kappa_rule(
+            fast_bounds.decrease,
+            1.0,  # squared-norm candidate: increment coefficient is exactly 1
+            optimizer_bounds.decrease,
+            constants["lip_equilibrium"].inflated(factor),
+            constants["lip_extra"].inflated(factor),
+            constants["lip_T"].inflated(factor),
+        )
     except CertificationError as exc:
-        report.add_verdict("composite-weight", False, str(exc))
-        report.delta_bar_reason = str(exc)
-        return report
-    report.kappa = rule
+        return None, [Verdict("composite-weight", False, str(exc))]
+    rng = np.random.default_rng(plan.seed + 1)
+    nz = spec.horizon_N * model.m
+    per_state = max(1, plan.boundary_samples // len(states))
+    draws = [
+        (
+            _ball_samples(rng, model.p, per_state, plan.error_ball, plan.error_min_norm),
+            _ball_samples(rng, nz, per_state, plan.error_ball, plan.error_min_norm),
+        )
+        for _ in states
+    ]
+    xi_errs, z_errs = (np.array(side) for side in zip(*draws))
+    boundary = boundary_layer_check(model, spec, solver_config, rule.kappa, states, zstars, xi_errs, z_errs)
+    detail = f"d3 = {boundary.d3:.6g} with kappa = {rule.kappa:.6g} over {boundary.samples} samples"
+    return (rule, boundary), [Verdict("boundary-layer-decrease", boundary.passed, detail)]
 
-    boundary = boundary_layer_check(model, spec, solver_config, rule.kappa, plan, states=states, zstars=zstars)
-    report.boundary = boundary
-    report.add_verdict(
-        "boundary-layer-decrease",
-        boundary.passed,
-        f"d3 = {boundary.d3:.6g} with kappa = {rule.kappa:.6g} over {boundary.samples} samples",
-    )
 
-    # 6) reduced value function bounds (c-constants) and minimizer Lipschitz
-    value_states = _ball_samples(rng, n, plan.n_value_states, plan.state_ball, plan.state_ball * 0.02)
-    values = np.empty(plan.n_value_states)
-    zstar_values: list[np.ndarray] = []
-    values_next = np.empty(plan.n_value_states)
-    single_int_ratios = np.empty(plan.n_value_states)
-    warm = np.zeros(nz)
-    ok_solves = True
-    for i, x in enumerate(value_states):
+def _reduced_value(model, spec, solver_config, plan, rng):
+    """c-constants of the reduced value function, the minimizer-map constant and the slow-drift ratio."""
+    delta, x_star, m = spec.delta, model.x_star, model.m
+    count = plan.n_value_states
+    states = _ball_samples(rng, model.n, count, plan.state_ball, plan.state_ball * 0.02)
+    values, values_next, drift = np.empty(count), np.empty(count), np.empty(count)
+    zstars = []
+    warm = np.zeros(spec.horizon_N * m)
+    solves_ok = True
+    for i, x in enumerate(states):
         sol = solve_optimal(spec, model, solver_config, x, warm)
-        ok_solves &= sol.converged
-        zstar_values.append(sol.z)
+        solves_ok &= sol.converged
+        zstars.append(sol.z)
         values[i] = cost(spec, model, x, sol.z)
-        u0 = first_input(sol.z, m)
-        x_next = model.reduced_map(x, u0, delta)
+        x_next = model.reduced_map(x, first_input(sol.z, m), delta)
         sol_next = solve_optimal(spec, model, solver_config, x_next, sol.z)
-        ok_solves &= sol_next.converged
+        solves_ok &= sol_next.converged
         values_next[i] = cost(spec, model, x_next, sol_next.z)
         err = float(np.linalg.norm(x - x_star))
-        single_int_ratios[i] = float(np.linalg.norm(x_next - x)) / (delta * err) if err > 0 else 0.0
-    if not ok_solves:
-        report.add_verdict("reduced-value-solves", False, "value-function solves missed tolerance")
+        drift[i] = float(np.linalg.norm(x_next - x)) / (delta * err) if err > 0 else 0.0
+    verdicts = [] if solves_ok else [Verdict("reduced-value-solves", False, "value-function solves missed tolerance")]
 
-    reduced_bounds = quadratic_bounds(values, values_next, value_states, decrease_divisor=delta, center=x_star)
-    report.reduced_bounds = reduced_bounds
-    report.add_verdict(
-        "reduced-value-decrease",
-        reduced_bounds.ok,
-        f"c3 = {reduced_bounds.decrease:.6g}, c1 = {reduced_bounds.lower:.6g}, c2 = {reduced_bounds.upper:.6g} "
-        f"over {plan.n_value_states} states",
-    )
+    bounds = quadratic_bounds(values, values_next, states, decrease_divisor=delta, center=x_star)
+    detail = f"c3 = {bounds.decrease:.6g}, c1 = {bounds.lower:.6g}, c2 = {bounds.upper:.6g} over {count} states"
+    verdicts.append(Verdict("reduced-value-decrease", bounds.ok, detail))
 
-    # minimizer map Lipschitz constant by secant slopes across sampled states
-    lip_zstar = 0.0
-    for i in range(plan.n_value_states - 1):
-        gap = float(np.linalg.norm(value_states[i] - value_states[i + 1]))
-        if gap > 1e-9:
-            lip_zstar = max(lip_zstar, float(np.linalg.norm(zstar_values[i] - zstar_values[i + 1])) / gap)
-    report.constants["lip_zstar"] = Estimate(lip_zstar, SAMPLED, plan.n_value_states)
+    # minimizer map Lipschitz constant by secant slopes across consecutive sampled states
+    # (row by row: one batched norm sums in another order and moves the last bit)
+    rises = np.array([np.linalg.norm(a - b) for a, b in zip(zstars, zstars[1:])])
+    gaps = np.linalg.norm(np.diff(states, axis=0), axis=1)
+    lip_zstar = _max_pair_quotient(rises, gaps, gaps, 1e-9)
 
     # single-integrator-style bound on the slow drift near the equilibrium
-    overall_ratio = float(np.max(single_int_ratios))
-    err_norm2 = np.sum((value_states - x_star) ** 2, axis=1)
+    overall = float(np.max(drift))
+    err_norm2 = np.sum((states - x_star) ** 2, axis=1)
     small = err_norm2 <= np.quantile(err_norm2, 0.1)
-    near_ratio = float(np.max(single_int_ratios[small])) if np.any(small) else overall_ratio
-    report.constants["single_integrator_ratio"] = Estimate(overall_ratio, SAMPLED, plan.n_value_states)
-    report.add_verdict(
-        "single-integrator-bound",
-        near_ratio <= 2.0 * overall_ratio + 1e-9,
-        f"drift ratio max {overall_ratio:.6g}, near-equilibrium max {near_ratio:.6g} (no blow-up toward x*)",
-    )
+    near = float(np.max(drift[small])) if np.any(small) else overall
+    detail = f"drift ratio max {overall:.6g}, near-equilibrium max {near:.6g} (no blow-up toward x*)"
+    verdicts.append(Verdict("single-integrator-bound", near <= 2.0 * overall + 1e-9, detail))
+    constants = {
+        "lip_zstar": Estimate(lip_zstar, SAMPLED, count),
+        "single_integrator_ratio": Estimate(overall, SAMPLED, count),
+    }
+    return (bounds, constants), verdicts
 
-    # 7) interconnection constants and the certified timescale bound
-    lip_zstar_used = Estimate(lip_zstar, SAMPLED).inflated(plan.safety_factor)
-    lip_h = lip_xi * (1.0 + lip_zstar_used) + lip_zstar_used
-    report.constants["lip_h"] = Estimate(lip_h, SAMPLED)
-    lip_slow_generic = max(
-        lip_fast_in.inflated(plan.safety_factor),
-        Estimate(overall_ratio, SAMPLED).inflated(plan.safety_factor),
-    )
-    report.constants["lip_slow_generic"] = Estimate(lip_slow_generic, SAMPLED)
-    c4 = max(reduced_bounds.increment, reduced_bounds.increment_centered)
-    c4_used = Estimate(c4, SAMPLED).inflated(plan.safety_factor)
-    d4_analytic = max(1.0, rule.kappa)  # composite of squared norms: increment is max(1, kappa)
+
+def _interconnection(plan, constants, reduced_bounds, kappa, fast_decrease):
+    """Interconnection constants from the inflated estimates, and the certified timescale bound."""
+    factor = plan.safety_factor
+    lip_zstar = constants["lip_zstar"].inflated(factor)
+    lip_h = constants["lip_equilibrium"].inflated(factor) * (1.0 + lip_zstar) + lip_zstar
+    lip_slow = max(constants[name].inflated(factor) for name in ("lip_slow_coupling", "single_integrator_ratio"))
     interconnection = InterconnectionConstants(
         c3=reduced_bounds.decrease,
-        c4=c4_used,
-        fast_decrease=boundary.d3,
-        fast_increment=d4_analytic,
-        lip_slow=lip_slow_generic,
+        c4=max(reduced_bounds.increment, reduced_bounds.increment_centered) * factor,
+        fast_decrease=fast_decrease,
+        fast_increment=max(1.0, kappa),  # composite of squared norms: increment is max(1, kappa)
+        lip_slow=lip_slow,
         lip_h=lip_h,
-        lip_G=report.constants["lip_G"].inflated(plan.safety_factor),
+        lip_G=constants["lip_G"].inflated(factor),
     )
-    report.interconnection = interconnection
-    search = bisect_delta_bar(interconnection, [plan.delta_cap])
-    report.delta_bar = search.value
-    report.delta_bar_reason = search.reason
-    report.add_verdict(
-        "coupling-condition",
-        search.value is not None and search.value > 0.0,
-        f"delta_bar = {search.value if search.value is not None else 'none'} ({search.reason})",
-    )
+    search = bisect_delta_bar(interconnection, plan.delta_cap)
+    detail = f"delta_bar = {search.value if search.value is not None else 'none'} ({search.reason})"
+    new_constants = {"lip_h": Estimate(lip_h, SAMPLED), "lip_slow_generic": Estimate(lip_slow, SAMPLED)}
+    verdict = Verdict("coupling-condition", search.value is not None and search.value > 0.0, detail)
+    return (new_constants, interconnection, search), [verdict]
 
-    # 8) closed-loop composite decrease at half the certified bound
-    if check_closed_loop and search.value is not None and boundary.passed:
-        cl = closed_loop_decrease_check(
-            model, spec, solver_config, rule.kappa, search.value / 2.0, plan
-        )
-        report.closed_loop = cl
-        report.add_verdict(
-            "closed-loop-decrease",
-            cl.passed,
-            f"composite value decreased on {cl.samples} sampled steps at delta = {cl.delta:.3e} "
-            f"(worst margin {cl.worst_margin:.3e})",
-        )
+
+def _closed_loop(model, spec, solver_config, plan, kappa, delta):
+    """Sampled composite decrease along interconnected steps at timescale ``delta``."""
+    cl = closed_loop_decrease_check(model, spec, solver_config, kappa, delta, plan)
+    detail = (
+        f"composite value decreased on {cl.samples} sampled steps at delta = {cl.delta:.3e} "
+        f"(worst margin {cl.worst_margin:.3e})"
+    )
+    return cl, [Verdict("closed-loop-decrease", cl.passed, detail)]
+
+
+def full_certificate(
+    model: PlantModel,
+    spec: OcpSpec,
+    solver_config: SolverConfig,
+    plan: SamplingPlan | None = None,
+    check_closed_loop: bool = True,
+) -> CertificateReport:
+    """Run the whole certification chain and report every constant and verdict.
+
+    The stages run in order: equilibrium identity, plant Lipschitz constants,
+    fast bounds (a), minimizer solves, optimizer bounds (b), map Lipschitz
+    constants, multistart, composite weight + boundary layer (d), reduced
+    value (c), interconnection + timescale bisection, and (optionally) the
+    sampled closed-loop decrease at half the certified bound. Every verdict
+    goes into the report; a missing composite weight ends the chain there.
+    """
+    plan = plan or SamplingPlan()
+    rng = np.random.default_rng(plan.seed)
+    report = CertificateReport(model.name, spec.delta, spec.horizon_N, plan, plan.ranges_dict(model))
+
+    def run(stage, *args):
+        result, verdicts = stage(*args)
+        report.verdicts.extend(verdicts)
+        return result
+
+    run(_equilibrium_identity, model, plan, rng)
+    report.constants.update(run(_plant_lipschitz, model, plan, rng, spec.delta))
+    report.fast_bounds = run(_fast_bounds, model, plan, rng, spec.delta)
+    states, zstars = run(_minimizer_solves, model, spec, solver_config, plan, rng)
+    at_states = (model, spec, solver_config, plan, rng, states, zstars)
+    report.optimizer_bounds = run(_optimizer_bounds, *at_states)
+    report.constants.update(run(_map_lipschitz, *at_states))
+    report.multistart_spread = run(_multistart, *at_states)
+    weighted = run(
+        _boundary_layer,
+        model, spec, solver_config, plan, report.constants, report.fast_bounds, report.optimizer_bounds, states, zstars,
+    )
+    if weighted is None:
+        report.delta_bar_reason = report.verdicts[-1].detail
+        return report
+    report.kappa, report.boundary = weighted
+    report.reduced_bounds, reduced_constants = run(_reduced_value, model, spec, solver_config, plan, rng)
+    report.constants.update(reduced_constants)
+    coupling_constants, report.interconnection, search = run(
+        _interconnection, plan, report.constants, report.reduced_bounds, report.kappa.kappa, report.boundary.d3
+    )
+    report.constants.update(coupling_constants)
+    report.delta_bar, report.delta_bar_reason = search.value, search.reason
+    if check_closed_loop and search.value is not None and report.boundary.passed:
+        report.closed_loop = run(_closed_loop, model, spec, solver_config, plan, report.kappa.kappa, search.value / 2.0)
     return report

@@ -43,8 +43,6 @@ def _parse_deltas(text: str) -> list[float]:
             value = float(part)
         except ValueError:
             raise ConfigError(f"--deltas: entry {i} is not a number: {part!r}") from None
-        if value <= 0.0:
-            raise ConfigError(f"--deltas: entry {i}: delta must be positive, got {value}")
         values.append(value)
     return values
 
@@ -68,10 +66,11 @@ def _prepare_out(args, config: Config, command: str) -> str:
 
 def cmd_simulate(args) -> int:
     config = _load(args)
-    out = _prepare_out(args, config, "simulate")
     model = config.sim_model()
-    spec = config.ocp_spec()
-    trace = simulate(model, spec, config.solver_config(), config.sim_config())
+    spec = config.ocp_spec(model=model)
+    solver_config, sim_config = config.solver_config(), config.sim_config()
+    out = _prepare_out(args, config, "simulate")
+    trace = simulate(model, spec, solver_config, sim_config)
     write_trace_csv(trace, os.path.join(out, "trace.csv"))
     write_gnuplot_script(os.path.join(out, "plot.gp"), trace_csv="trace.csv")
     try:
@@ -96,10 +95,11 @@ def cmd_simulate(args) -> int:
 def _run_comparison(args, deltas: list[float] | None, command: str) -> int:
     """Strategy table at each delta, or at the configured delta when ``deltas`` is None."""
     config = _load(args)
-    out = _prepare_out(args, config, command)
     model = config.sim_model()
-    specs = [config.ocp_spec()] if deltas is None else [config.ocp_spec(delta) for delta in deltas]
-    rows = compare_strategies(model, specs, config.solver_config(), config.sim_config(), config.skip_fraction)
+    specs = [config.ocp_spec(delta, model) for delta in deltas or [None]]
+    solver_config, sim_config = config.solver_config(), config.sim_config()
+    out = _prepare_out(args, config, command)
+    rows = compare_strategies(model, specs, solver_config, sim_config, config.skip_fraction)
     write_comparison_csv(rows, os.path.join(out, "comparison.csv"))
     write_gnuplot_script(os.path.join(out, "plot.gp"), comparison_csv="comparison.csv")
     for r in rows:
@@ -120,16 +120,11 @@ def cmd_compare(args) -> int:
 
 def cmd_certify(args) -> int:
     config = _load(args)
-    out = _prepare_out(args, config, "certify")
     model = config.model()
     spec = config.ocp_spec(model=model)
-    report = full_certificate(
-        model,
-        spec,
-        config.solver_config(),
-        config.sampling_plan(),
-        check_closed_loop=config.check_closed_loop,
-    )
+    solver_config, plan = config.solver_config(), config.sampling_plan()
+    out = _prepare_out(args, config, "certify")
+    report = full_certificate(model, spec, solver_config, plan, check_closed_loop=config.check_closed_loop)
     with open(os.path.join(out, "certificate.txt"), "w") as fh:
         fh.write(report.to_text() + "\n")
     with open(os.path.join(out, "certificate.json"), "w") as fh:

@@ -9,12 +9,12 @@ prediction window).
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams, PlantModel
+from .plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams, PlantModel, validate_delta
 from .ocp import OcpSpec, SolverConfig, horizon_for_delta
 from .simulate import STRATEGIES, SimConfig, Strategy
 from .certify import SamplingPlan
@@ -32,22 +32,25 @@ def _strategy(value: str) -> str:
     return value
 
 
-def _step_rule(value: str) -> str:
-    if value not in ("backtracking", "fixed"):
-        raise ConfigError(f"step_rule must be 'backtracking' or 'fixed', got {value!r}")
-    return value
-
-
 def _model_kind(value: str) -> str:
     if value not in ("pendulum", "linear"):
         raise ConfigError(f"model must be 'pendulum' or 'linear', got {value!r}")
     return value
 
 
-def _positive(value: float) -> float:
-    if not value > 0:
-        raise ConfigError("delta must be positive")
-    return value
+def _checked(build):
+    """Report a value that the built object rejects as a ConfigError."""
+
+    @functools.wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    return checked
 
 
 # section -> key -> (parser, default)
@@ -64,7 +67,7 @@ DEFAULTS: dict[str, dict[str, tuple] ] = {
         "grav": (float, 9.81),
     },
     "ocp": {
-        "delta": (lambda s: _positive(float(s)), 0.01),
+        "delta": (float, 0.01),
         "horizon_steps": (str, "auto"),
         "horizon_window_s": (float, 0.5),
         "q_theta": (float, 100.0),
@@ -76,7 +79,7 @@ DEFAULTS: dict[str, dict[str, tuple] ] = {
     },
     "solver": {
         "iters_per_sample": (int, 1),
-        "step_rule": (_step_rule, "backtracking"),
+        "step_rule": (str, "backtracking"),
         "alpha0": (float, 1.0),
         "shrink": (float, 0.5),
         "armijo_c": (float, 1e-4),
@@ -155,6 +158,7 @@ class Config:
     def __getitem__(self, section: str) -> dict[str, object]:
         return self.values[section]
 
+    @_checked
     def pendulum_params(self) -> PendulumParams:
         p = self.values["pendulum"]
         return PendulumParams(**{k: float(v) for k, v in p.items()})
@@ -167,11 +171,12 @@ class Config:
     def sim_model(self) -> PlantModel:
         return ActuatedPendulum(self.pendulum_params())
 
+    @_checked
     def ocp_spec(self, delta: float | None = None, model: PlantModel | None = None) -> OcpSpec:
+        """The problem at ``delta`` (default: the configured one) for ``model`` (default: the pendulum)."""
         o = self.values["ocp"]
-        delta = float(o["delta"]) if delta is None else float(delta)
-        if delta <= 0:
-            raise ConfigError("delta must be positive")
+        model = self.sim_model() if model is None else model
+        delta = validate_delta(model, float(o["delta"]) if delta is None else delta)
         if o["horizon_steps"] == "auto":
             N = horizon_for_delta(delta, float(o["horizon_window_s"]))
         else:
@@ -179,8 +184,7 @@ class Config:
                 N = int(o["horizon_steps"])
             except ValueError as exc:
                 raise ConfigError(f"horizon_steps must be 'auto' or an integer, got {o['horizon_steps']!r}") from exc
-        n = 2 if model is None else model.n
-        m = 1 if model is None else model.m
+        n, m = model.n, model.m
         if n == 2:
             Q = np.diag([float(o["q_theta"]), float(o["q_omega"])])
             Qf = np.diag([float(o["qf_theta"]), float(o["qf_omega"])])
@@ -198,21 +202,14 @@ class Config:
             delta=delta,
         )
 
+    @_checked
     def solver_config(self) -> SolverConfig:
-        s = self.values["solver"]
-        return SolverConfig(
-            iters_per_sample=int(s["iters_per_sample"]),
-            step_rule=str(s["step_rule"]),
-            alpha0=float(s["alpha0"]),
-            shrink=float(s["shrink"]),
-            armijo_c=float(s["armijo_c"]),
-            optimal_tol=float(s["optimal_tol"]),
-            max_optimal_iters=int(s["max_optimal_iters"]),
-        )
+        return SolverConfig(**self.values["solver"])
 
+    @_checked
     def sim_config(self, delta: float | None = None, strategy: str | None = None) -> SimConfig:
         s = self.values["sim"]
-        delta = float(self.values["ocp"]["delta"]) if delta is None else float(delta)
+        delta = validate_delta(self.sim_model(), self.values["ocp"]["delta"] if delta is None else delta)
         name = str(s["strategy"]) if strategy is None else _strategy(strategy)
         return SimConfig(
             delta=delta,
@@ -222,30 +219,12 @@ class Config:
             strategy=STRATEGIES[name],
         )
 
+    @_checked
     def sampling_plan(self) -> SamplingPlan:
-        c = self.values["certify"]
+        """The plan from every [certify] key but ``model`` and ``check_closed_loop``, inputs within +-u_max."""
         u_max = float(self.values["ocp"]["u_max"])
-        return SamplingPlan(
-            seed=int(c["seed"]),
-            u_range=(-u_max, u_max),
-            lipschitz_pairs=int(c["lipschitz_pairs"]),
-            equilibrium_samples=int(c["equilibrium_samples"]),
-            fast_samples=int(c["fast_samples"]),
-            n_states=int(c["n_states"]),
-            optimizer_pairs_per_state=int(c["optimizer_pairs_per_state"]),
-            boundary_samples=int(c["boundary_samples"]),
-            n_value_states=int(c["n_value_states"]),
-            map_pairs=int(c["map_pairs"]),
-            closed_loop_samples=int(c["closed_loop_samples"]),
-            multistart_states=int(c["multistart_states"]),
-            multistart_points=int(c["multistart_points"]),
-            safety_factor=float(c["safety_factor"]),
-            delta_cap=float(c["delta_cap"]),
-            state_ball=float(c["state_ball"]),
-            error_ball=float(c["error_ball"]),
-            error_min_norm=float(c["error_min_norm"]),
-            near_eq_ball=float(c["near_eq_ball"]),
-        )
+        keys = DEFAULTS["certify"].keys() - {"model", "check_closed_loop"}
+        return SamplingPlan(u_range=(-u_max, u_max), **{key: self.values["certify"][key] for key in keys})
 
     @property
     def skip_fraction(self) -> float:

@@ -75,6 +75,37 @@ class TestEstimateLipschitz:
         assert analytic.inflated(1.5) == 1.0
 
 
+def ball_samples(rng, shape, radius=1.0, min_norm=0.05):
+    """Uniform directions in the last axis with norms uniform in [min_norm, radius]."""
+    raw = rng.normal(size=shape)
+    return raw / np.linalg.norm(raw, axis=-1, keepdims=True) * rng.uniform(min_norm, radius, shape[:-1] + (1,))
+
+
+class TestSamplingPlan:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n_states": 0},
+            {"n_value_states": 0},
+            {"closed_loop_samples": -1},
+            {"state_ball": 0.0},
+            {"error_ball": -1.0},
+            {"near_eq_ball": 0.0},
+            {"error_min_norm": -0.1},
+            {"error_min_norm": 1.0},
+            {"delta_cap": 0.0},
+        ],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_rejects_out_of_range_values(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SamplingPlan(**bad)
+
+    def test_smallest_values_accepted(self):
+        plan = SamplingPlan(n_states=1, multistart_points=1, error_min_norm=0.0)
+        assert plan.n_states == 1 and plan.error_min_norm == 0.0
+
+
 def sq_norms(v):
     return np.sum(np.asarray(v) ** 2, axis=1)
 
@@ -264,7 +295,7 @@ class TestBisect:
         ic = InterconnectionConstants(
             c3=1.0, c4=0.0, fast_decrease=1.0, fast_increment=0.0, lip_slow=0.0, lip_h=0.0, lip_G=0.0
         )
-        res = bisect_delta_bar(ic, [0.2])
+        res = bisect_delta_bar(ic, 0.2)
         assert res.value == pytest.approx(0.2)
         assert "cap" in res.reason
 
@@ -272,7 +303,7 @@ class TestBisect:
         ic = InterconnectionConstants(
             c3=0.0, c4=1.0, fast_decrease=0.5, fast_increment=1.0, lip_slow=1.0, lip_h=1.0, lip_G=1.0
         )
-        res = bisect_delta_bar(ic, [0.2])
+        res = bisect_delta_bar(ic, 0.2)
         assert res.value is None
         assert "reduced-system decrease constant nonpositive" in res.reason
 
@@ -280,16 +311,16 @@ class TestBisect:
         ic = InterconnectionConstants(
             c3=1.0, c4=1.0, fast_decrease=0.5, fast_increment=1.0, lip_slow=0.8, lip_h=1.0, lip_G=1.0
         )
-        res = bisect_delta_bar(ic, [0.2])
+        res = bisect_delta_bar(ic, 0.2)
         assert res.value is not None and res.value > 0.0
         assert ic.c3 * ic.fast_decrease > ic.p_poly(res.value)
         assert ic.condition_holds(res.value * 0.5)
 
-    def test_multiple_caps_take_minimum(self):
+    def test_smaller_cap_limits_the_result(self):
         ic = InterconnectionConstants(
             c3=1.0, c4=0.0, fast_decrease=1.0, fast_increment=0.0, lip_slow=0.0, lip_h=0.0, lip_G=0.0
         )
-        res = bisect_delta_bar(ic, [0.2, 0.05])
+        res = bisect_delta_bar(ic, 0.05)
         assert res.value == pytest.approx(0.05)
 
 
@@ -310,10 +341,18 @@ class TestBoundaryLayer:
 
     def test_pendulum_composite_decreases(self):
         spec = make_ocp_spec(0.01)
-        plan = SamplingPlan(n_states=4, boundary_samples=200)
         rule = kappa_rule(a3=0.84, a4=1.0, b3=0.04, lip_xi=2.5, lip_g=1.5, lip_T=1.5)
-        res = boundary_layer_check(PEND, spec, CFG, rule.kappa, plan)
-        assert res.passed
+        rng = np.random.default_rng(1)
+        states = ball_samples(rng, (4, 2), min_norm=0.0)
+        zstars = []
+        for x in states:
+            star = solve_optimal(spec, PEND, CFG, x, np.zeros(50))
+            assert star.converged
+            zstars.append(star.z)
+        xi_errs = ball_samples(rng, (4, 50, 1))
+        z_errs = ball_samples(rng, (4, 50, 50))
+        res = boundary_layer_check(PEND, spec, CFG, rule.kappa, states, zstars, xi_errs, z_errs)
+        assert res.passed and res.samples == 200
         assert res.d3 > 0.0
         assert res.d1 <= res.d2
 
@@ -321,17 +360,16 @@ class TestBoundaryLayer:
         # With no optimizer term, the equilibrium drift pushed into the fast
         # error by a large z error makes the value increase.
         spec = make_ocp_spec(0.01)
-        plan = SamplingPlan(n_states=1, boundary_samples=1)
-        x = np.array([[0.4, 0.1]])
-        xi_err = np.array([[1e-8]])
-        z_err = np.zeros((1, 50))
-        z_err[0, 0] = 1.0
-        res = boundary_layer_check(
-            PEND, spec, CFG, kappa=0.0, plan=plan, states=x, error_samples=(xi_err, z_err)
-        )
+        x = np.array([0.4, 0.1])
+        star = solve_optimal(spec, PEND, CFG, x, np.zeros(50))
+        assert star.converged
+        xi_err = np.array([1e-8])
+        z_err = np.zeros(50)
+        z_err[0] = 1.0
+        res = boundary_layer_check(PEND, spec, CFG, 0.0, x[None], [star.z], xi_err[None, None], z_err[None, None])
         assert not res.passed
         wx, wxi, wz = res.witness
-        assert np.array_equal(wx, x[0]) and np.array_equal(wxi, xi_err[0]) and np.array_equal(wz, z_err[0])
+        assert np.array_equal(wx, x) and np.array_equal(wxi, xi_err) and np.array_equal(wz, z_err)
 
 
 class TestFullCertificate:
@@ -386,6 +424,9 @@ class TestFullCertificate:
         fast = {v.name: v for v in rep.verdicts}["fast-error-decrease"]
         assert not fast.passed
         assert rep.delta_bar is None
+        # no composite weight exists, so the chain stops there
+        assert rep.verdicts[-1].name == "composite-weight" and not rep.verdicts[-1].passed
+        assert rep.boundary is None and rep.interconnection is None
 
     def test_report_serializes(self):
         lin = LinearTwoTimescale()
@@ -411,6 +452,9 @@ class TestFullCertificate:
 
         blob = json.loads(rep.to_json())
         assert blob["model"] == "linear"
+        # the linear model's state is sampled from +-4 state_ball
+        assert blob["ranges"]["state_lo"] == [-4.0] and blob["ranges"]["state_hi"] == [4.0]
+        assert "theta" not in blob["ranges"] and "omega" not in blob["ranges"]
         assert isinstance(blob["verdicts"], list)
         assert blob["overall_pass"] == rep.overall_pass
 
@@ -420,6 +464,6 @@ class TestClosedLoopDecrease:
         lin = LinearTwoTimescale()
         spec = linear_spec()
         plan = SamplingPlan(closed_loop_samples=30, near_eq_ball=0.3)
-        res = closed_loop_decrease_check(lin, spec, SolverConfig(iters_per_sample=40), kappa=4.0, delta=0.002, plan=plan, count=30)
+        res = closed_loop_decrease_check(lin, spec, SolverConfig(iters_per_sample=40), kappa=4.0, delta=0.002, plan=plan)
         assert res.passed
         assert res.worst_margin > 0.0

@@ -68,7 +68,7 @@ class TestConfigParsing:
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ConfigError, match="delta must be positive"):
-            load_config(None, {"ocp": {"delta": "-1"}})
+            load_config(None, {"ocp": {"delta": "-1"}}).ocp_spec()
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(ConfigError, match="strategy"):
@@ -130,6 +130,38 @@ class TestCliSimulate:
     def test_unknown_flag_is_config_error(self, tmp_path):
         rc = main(["simulate", "--bogus", "1", "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
+
+
+class TestCliConfigErrors:
+    """A value that parses but fails a check of the objects built from it exits 1 before any output."""
+
+    def assert_config_error(self, tmp_path, capsys, text, argv):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(text)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["simulate"], ["compare"], ["sweep", "--deltas", "0.1"], ["certify"]], ids=lambda a: a[0]
+    )
+    @pytest.mark.parametrize(
+        "text",
+        ["[solver]\nshrink = 2\n", "[pendulum]\nmass = -1\n", "[ocp]\ndelta = 2.0\n"],
+        ids=["shrink", "mass", "delta"],
+    )
+    def test_rejected_value(self, tmp_path, capsys, text, argv):
+        self.assert_config_error(tmp_path, capsys, text, argv)
+
+    @pytest.mark.parametrize(
+        "text", ["[certify]\nn_states = 0\n", "[certify]\nn_value_states = 0\n"], ids=["n_states", "n_value_states"]
+    )
+    def test_rejected_sampling_plan(self, tmp_path, capsys, text):
+        self.assert_config_error(tmp_path, capsys, text, ["certify"])
+
+    def test_swept_delta_at_delta_max(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, "", ["sweep", "--deltas", "0.1,1.0"])
 
 
 class TestCliDivergence:
