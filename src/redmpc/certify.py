@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,9 +95,14 @@ class SamplingPlan:
     delta_cap: float = 0.2
 
     def __post_init__(self):
-        for f in fields(self):  # every int field but the seed is a sample count
-            if f.type == "int" and f.name != "seed" and getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be at least 1, got {getattr(self, f.name)}")
+        counts = (
+            "lipschitz_pairs", "equilibrium_samples", "fast_samples", "n_states",
+            "optimizer_pairs_per_state", "boundary_samples", "n_value_states", "map_pairs",
+            "closed_loop_samples", "multistart_states", "multistart_points",
+        )
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("state_ball", "error_ball", "near_eq_ball", "delta_cap"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

@@ -176,12 +176,6 @@ def _check_z(spec: OcpSpec, z) -> np.ndarray:
     return z
 
 
-def _all_finite(v: np.ndarray) -> bool:
-    # per prediction step on vectors of a few entries, where this is several
-    # times faster than np.isfinite(v).all()
-    return all(map(math.isfinite, v.tolist()))
-
-
 def rollout(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
     """Predicted state sequence x_0..x_N under the reduced model.
 
@@ -196,7 +190,7 @@ def rollout(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
     x = x0
     for tau in range(N):
         x = model.reduced_map(x, z[tau * m : (tau + 1) * m], spec.delta)
-        if not _all_finite(x):
+        if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"rollout overflow: non-finite state at step {tau + 1}")
         states[tau + 1] = x
     return states
@@ -238,7 +232,7 @@ def gradient(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
             jac_x, jac_u = model.reduced_jacobians(x, u, spec.delta)
             grad[tau * m : (tau + 1) * m] = 2.0 * (Rw @ u) + jac_u.T @ lam
             lam = 2.0 * (Q @ x) + jac_x.T @ lam
-            if not _all_finite(lam):
+            if not np.all(np.isfinite(lam)):
                 raise FloatingPointError(f"gradient overflow: non-finite adjoint at step {tau}")
     return grad
 

@@ -173,23 +173,16 @@ class ActuatedPendulum(PlantModel):
         self.lip_extra = max(abs(1.0 - p.R_ohm / p.L_tilde), p.K_e / p.L_tilde, 1.0 / p.L_tilde)
         self.lip_equilibrium = max(1.0, p.K_e) / p.R_ohm
 
-    def _slow_step(self, x, current: float, delta):
+    def target_map(self, x, xi, u, delta):
         p = self.params
         theta = float(x[0])
         omega = float(x[1])
         accel = (
             -(p.beta / p.J) * omega
             - (p.mass * p.grav * p.l / p.J) * math.sin(theta)
-            + (p.K_t / p.J) * current
+            + (p.K_t / p.J) * float(xi[0])
         )
         return np.array([theta + delta * omega, omega + delta * accel])
-
-    def _equilibrium_current(self, x, u) -> float:
-        p = self.params
-        return (-p.K_e * float(x[1]) + float(u[0])) / p.R_ohm
-
-    def target_map(self, x, xi, u, delta):
-        return self._slow_step(x, float(xi[0]), delta)
 
     def extra_map(self, xi, x, u, delta):
         p = self.params
@@ -201,7 +194,8 @@ class ActuatedPendulum(PlantModel):
         return np.array([value])
 
     def equilibrium_map(self, x, u):
-        return np.array([self._equilibrium_current(x, u)])
+        p = self.params
+        return np.array([(-p.K_e * float(x[1]) + float(u[0])) / p.R_ohm])
 
     def target_jacobians(self, x, xi, u, delta):
         p = self.params
@@ -220,27 +214,6 @@ class ActuatedPendulum(PlantModel):
         ex = np.array([[0.0, -p.K_e / p.R_ohm]])
         eu = np.array([[1.0 / p.R_ohm]])
         return ex, eu
-
-    # The two maps the optimizer calls on every prediction step, written out
-    # in closed form: the same floating-point operations as the composition
-    # in PlantModel, without the intermediate arrays.
-    def reduced_map(self, x, u, delta):
-        return self._slow_step(x, self._equilibrium_current(x, u), delta)
-
-    def reduced_jacobians(self, x, u, delta):
-        p = self.params
-        coupling = delta * p.K_t / p.J
-        jac_x = np.array(
-            [
-                [1.0, delta],
-                [
-                    -delta * (p.mass * p.grav * p.l / p.J) * math.cos(float(x[0])),
-                    (1.0 - delta * p.beta / p.J) + coupling * (-p.K_e / p.R_ohm),
-                ],
-            ]
-        )
-        jac_u = np.array([[0.0], [coupling * (1.0 / p.R_ohm)]])
-        return jac_x, jac_u
 
 
 class LinearTwoTimescale(PlantModel):

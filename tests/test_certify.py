@@ -85,9 +85,17 @@ class TestSamplingPlan:
     @pytest.mark.parametrize(
         "bad",
         [
+            {"lipschitz_pairs": 0},
+            {"equilibrium_samples": 0},
+            {"fast_samples": 0},
             {"n_states": 0},
+            {"optimizer_pairs_per_state": 0},
+            {"boundary_samples": 0},
             {"n_value_states": 0},
+            {"map_pairs": 0},
             {"closed_loop_samples": -1},
+            {"multistart_states": 0},
+            {"multistart_points": 0},
             {"state_ball": 0.0},
             {"error_ball": -1.0},
             {"near_eq_ball": 0.0},

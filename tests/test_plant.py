@@ -7,7 +7,6 @@ from redmpc.plant import (
     ActuatedPendulum,
     LinearTwoTimescale,
     PendulumParams,
-    PlantModel,
     equilibrium_extra,
     reduced_step,
     step_extra,
@@ -180,20 +179,6 @@ class TestJacobians:
                 e[j] = h
                 col = (model.reduced_map(x, u + e, delta) - model.reduced_map(x, u - e, delta)) / (2 * h)
                 assert np.allclose(ju[:, j], col, atol=1e-6)
-
-    def test_pendulum_closed_forms_equal_the_composition(self):
-        # the closed-form reduced map and Jacobians must reproduce the
-        # composed f(x, xi_eq(x, u), u) and its chain rule bit for bit
-        rng = np.random.default_rng(5)
-        for _ in range(500):
-            x = rng.uniform(-10, 10, 2)
-            u = rng.uniform(-30, 30, 1)
-            delta = float(rng.choice([0.01, 0.1, 0.2, 1.0]))
-            assert np.array_equal(PEND.reduced_map(x, u, delta), PlantModel.reduced_map(PEND, x, u, delta))
-            for got, want in zip(
-                PEND.reduced_jacobians(x, u, delta), PlantModel.reduced_jacobians(PEND, x, u, delta)
-            ):
-                assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestLinearModel:
