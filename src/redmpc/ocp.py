@@ -28,8 +28,6 @@ __all__ = [
     "cost",
     "gradient",
     "project_box",
-    "projected_gradient_norm",
-    "pgd_step",
     "iterate_map",
     "solver_map",
     "solve_optimal",
@@ -196,14 +194,8 @@ def rollout(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
     return states
 
 
-def cost(spec: OcpSpec, model: PlantModel, x0, z) -> float:
-    """Objective: sum of stage costs x'Qx + u'Rw u plus terminal x'Qf x.
-
-    States that overflow the quadratic form yield an infinite cost (which any
-    line search rejects) rather than a warning.
-    """
-    z = _check_z(spec, z)
-    states = rollout(spec, model, x0, z)
+def _value(spec: OcpSpec, states: np.ndarray, z: np.ndarray) -> float:
+    """Stage costs x'Qx + u'Rw u plus terminal x'Qf x along a rollout already taken."""
     N, m = spec.horizon_N, spec.m
     Q, Rw, Qf = spec.state_weight, spec.input_weight, spec.terminal_weight
     total = 0.0
@@ -217,10 +209,8 @@ def cost(spec: OcpSpec, model: PlantModel, x0, z) -> float:
     return total
 
 
-def gradient(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
-    """Exact objective gradient w.r.t. z by reverse accumulation along the rollout."""
-    z = _check_z(spec, z)
-    states = rollout(spec, model, x0, z)
+def _adjoint(spec: OcpSpec, model: PlantModel, states: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Objective gradient w.r.t. z by the reverse sweep along a rollout already taken."""
     N, m = spec.horizon_N, spec.m
     Q, Rw, Qf = spec.state_weight, spec.input_weight, spec.terminal_weight
     grad = np.empty_like(z)
@@ -237,6 +227,22 @@ def gradient(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
     return grad
 
 
+def cost(spec: OcpSpec, model: PlantModel, x0, z) -> float:
+    """Objective: sum of stage costs x'Qx + u'Rw u plus terminal x'Qf x.
+
+    States that overflow the quadratic form yield an infinite cost (which any
+    line search rejects) rather than a warning.
+    """
+    z = _check_z(spec, z)
+    return _value(spec, rollout(spec, model, x0, z), z)
+
+
+def gradient(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
+    """Exact objective gradient w.r.t. z by reverse accumulation along the rollout."""
+    z = _check_z(spec, z)
+    return _adjoint(spec, model, rollout(spec, model, x0, z), z)
+
+
 def project_box(spec: OcpSpec, z) -> np.ndarray:
     """Componentwise clamp of each input block into the input box. Idempotent."""
     z = _check_z(spec, z)
@@ -245,100 +251,87 @@ def project_box(spec: OcpSpec, z) -> np.ndarray:
     return np.clip(z.reshape(N, spec.m), lo, hi).reshape(-1)
 
 
-def projected_gradient_norm(spec: OcpSpec, model: PlantModel, x0, z) -> float:
-    """Stationarity measure ||z - clip(z - grad)|| used as the stopping rule."""
-    z = _check_z(spec, z)
-    g = gradient(spec, model, x0, z)
+def _pg_norm(spec: OcpSpec, z: np.ndarray, g: np.ndarray) -> float:
+    """Stationarity measure ||z - clip(z - g)|| used as the stopping rule."""
     return float(np.linalg.norm(z - project_box(spec, z - g)))
 
 
 def _armijo_backtrack(
-    z, g, cost_fn, projector, j_ref, alpha, shrink, armijo_c, max_backtracks, noise_floor=-math.inf
-) -> tuple[np.ndarray, float] | None:
-    """Armijo backtracking along the projection arc ``projector(z - alpha * g)``.
+    spec: OcpSpec, model: PlantModel, x0, z, g, j_ref, alpha, config: SolverConfig, noise_floor=-math.inf
+) -> tuple[np.ndarray, float, np.ndarray] | None:
+    """Armijo backtracking along the projection arc ``project_box(z - alpha * g)``.
 
-    Returns the first trial point, with its cost, whose cost lies sufficiently
-    below ``j_ref`` or whose predicted decrease is at or below ``noise_floor``
-    (the resolution of a cost evaluation); ``None`` when every trial fails.
+    Each trial is rolled out once. Returns the first trial point, with its
+    cost and rollout, whose cost lies sufficiently below ``j_ref`` or whose
+    predicted decrease is at or below ``noise_floor`` (the resolution of a
+    cost evaluation); ``None`` when every trial fails. A trial whose
+    prediction overflows has infinite cost and fails.
     """
-    for _ in range(max_backtracks):
-        candidate = projector(z - alpha * g)
+    for _ in range(config.max_backtracks):
+        candidate = project_box(spec, z - alpha * g)
         decrease = float(g @ (z - candidate))
-        j_cand = cost_fn(candidate)
-        if j_cand <= j_ref - armijo_c * decrease or armijo_c * decrease <= noise_floor:
-            return candidate, j_cand
-        alpha *= shrink
+        try:
+            states = rollout(spec, model, x0, candidate)
+        except FloatingPointError:
+            states = None
+        if states is not None:
+            j_cand = _value(spec, states, candidate)
+            if j_cand <= j_ref - config.armijo_c * decrease or config.armijo_c * decrease <= noise_floor:
+                return candidate, j_cand, states
+        alpha *= config.shrink
     return None
 
 
-def pgd_step(
-    z: np.ndarray,
-    grad_fn,
-    cost_fn,
-    projector,
-    rule: str = "backtracking",
-    alpha0: float = 1.0,
-    shrink: float = 0.5,
-    armijo_c: float = 1e-4,
-    max_backtracks: int = 30,
-) -> tuple[np.ndarray, bool]:
-    """One projected gradient step ``z <- projector(z - alpha * grad_fn(z))``.
-
-    With the backtracking rule, alpha shrinks from ``alpha0`` until the Armijo
-    condition along the projection arc holds; if no trial step passes, the
-    step is rejected and ``z`` is returned unchanged with ``accepted=False``.
-    """
-    g = grad_fn(z)
-    if rule == "fixed":
-        return projector(z - alpha0 * g), True
-    step = _armijo_backtrack(z, g, cost_fn, projector, cost_fn(z), alpha0, shrink, armijo_c, max_backtracks)
-    return (z, False) if step is None else (step[0], True)
-
-
-def iterate_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z) -> tuple[np.ndarray, int]:
+def iterate_map(
+    spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z
+) -> tuple[np.ndarray, int, np.ndarray | None]:
     """Raw fixed-budget update used by ``solver_map`` and the certification sampling.
 
     The iteration map is a self-map on the feasible box, so the incoming
     sequence is projected first (a no-op for iterates produced by any solver
-    step). Returns the updated stacked sequence and the number of rejected
-    steps, without the extra diagnostic gradient evaluation of ``solver_map``.
+    step). Each iteration is one projected gradient step: the fixed rule
+    takes ``alpha0``; backtracking shrinks alpha from ``alpha0`` until the
+    Armijo condition along the projection arc holds, and rejects the step
+    (``z`` unchanged) if no trial passes. The gradient and the Armijo
+    reference share one rollout, and an accepted trial's rollout serves the
+    next iteration. Returns the updated stacked sequence, the number of
+    rejected steps and the rollout of the result (``None`` after a
+    fixed-rule step).
     """
     z = project_box(spec, z)
-    grad_fn = lambda v: gradient(spec, model, x0, v)
-    cost_fn = lambda v: cost(spec, model, x0, v)
-    projector = lambda v: project_box(spec, v)
+    states = None
     rejected = 0
     for _ in range(config.iters_per_sample):
-        z, accepted = pgd_step(
-            z,
-            grad_fn,
-            cost_fn,
-            projector,
-            rule=config.step_rule,
-            alpha0=config.alpha0,
-            shrink=config.shrink,
-            armijo_c=config.armijo_c,
-            max_backtracks=config.max_backtracks,
-        )
-        if not accepted:
+        if states is None:
+            states = rollout(spec, model, x0, z)
+        g = _adjoint(spec, model, states, z)
+        if config.step_rule == "fixed":
+            z, states = project_box(spec, z - config.alpha0 * g), None
+            continue
+        step = _armijo_backtrack(spec, model, x0, z, g, _value(spec, states, z), config.alpha0, config)
+        if step is None:
             rejected += 1
-    return z, rejected
+        else:
+            z, _, states = step
+    return z, rejected, states
 
 
 def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z) -> OptimizerState:
     """Fixed-budget suboptimal update: the optimizer's one-sample iteration map.
 
     Applies exactly ``config.iters_per_sample`` projected gradient iterations
-    and records the final projected-gradient norm.
+    and records the final projected-gradient norm at the result, from its
+    rollout when the line search has taken one.
     """
     x0 = _as_vector(x0, model.n, "x0")
     z = _check_z(spec, z)
-    z, rejected = iterate_map(spec, model, config, x0, z)
-    pg = projected_gradient_norm(spec, model, x0, z)
+    z, rejected, states = iterate_map(spec, model, config, x0, z)
+    if states is None:
+        states = rollout(spec, model, x0, z)
     return OptimizerState(
         z=z,
         iterations_used=config.iters_per_sample,
-        projected_gradient_norm=pg,
+        projected_gradient_norm=_pg_norm(spec, z, _adjoint(spec, model, states, z)),
         converged=True,
         rejected_steps=rejected,
     )
@@ -355,14 +348,11 @@ def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_
     """
     x0 = _as_vector(x0, model.n, "x0")
     z = project_box(spec, _check_z(spec, z_init))
-    grad_fn = lambda v: gradient(spec, model, x0, v)
-    cost_fn = lambda v: cost(spec, model, x0, v)
-    projector = lambda v: project_box(spec, v)
-
-    g = grad_fn(z)
-    j = cost_fn(z)
+    states = rollout(spec, model, x0, z)
+    g = _adjoint(spec, model, states, z)
+    j = _value(spec, states, z)
     recent = [j]
-    pg = float(np.linalg.norm(z - projector(z - g)))
+    pg = _pg_norm(spec, z, g)
     iters = 0
     rejected = 0
     alpha = config.alpha0
@@ -373,14 +363,12 @@ def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_
         # Accept on sufficient decrease, or unconditionally once the
         # predicted decrease is below cost-evaluation resolution.
         noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(j_ref))
-        step = _armijo_backtrack(
-            z, g, cost_fn, projector, j_ref, alpha, config.shrink, config.armijo_c, config.max_backtracks, noise_floor
-        )
+        step = _armijo_backtrack(spec, model, x0, z, g, j_ref, alpha, config, noise_floor)
         if step is None:
             rejected += 1
             break  # no acceptable step: at the numerical floor
-        z_new, j_new = step
-        g_new = grad_fn(z_new)
+        z_new, j_new, states = step
+        g_new = _adjoint(spec, model, states, z_new)
         s = z_new - z
         y = g_new - g
         sy = float(s @ y)
@@ -393,7 +381,7 @@ def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_
         recent.append(j)
         if len(recent) > 10:
             recent.pop(0)
-        pg = float(np.linalg.norm(z - projector(z - g)))
+        pg = _pg_norm(spec, z, g)
     return OptimizerState(
         z=z,
         iterations_used=iters,

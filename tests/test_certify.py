@@ -96,6 +96,8 @@ class TestSamplingPlan:
             {"closed_loop_samples": -1},
             {"multistart_states": 0},
             {"multistart_points": 0},
+            {"multistart_points": 1},
+            {"safety_factor": 0.5},
             {"state_ball": 0.0},
             {"error_ball": -1.0},
             {"near_eq_ball": 0.0},
@@ -110,7 +112,7 @@ class TestSamplingPlan:
             SamplingPlan(**bad)
 
     def test_smallest_values_accepted(self):
-        plan = SamplingPlan(n_states=1, multistart_points=1, error_min_norm=0.0)
+        plan = SamplingPlan(n_states=1, multistart_points=2, safety_factor=1.0, error_min_norm=0.0)
         assert plan.n_states == 1 and plan.error_min_norm == 0.0
 
 
@@ -340,7 +342,7 @@ class TestBoundaryLayer:
         star = solve_optimal(spec, PEND, CFG, x, np.zeros(10))
         from redmpc.ocp import first_input, iterate_map
 
-        z_next, _ = iterate_map(spec, PEND, CFG, x, star.z)
+        z_next, _, _ = iterate_map(spec, PEND, CFG, x, star.z)
         xi_eq = PEND.equilibrium_map(x, first_input(star.z, 1))
         xi_next = PEND.extra_map(xi_eq, x, first_input(star.z, 1), 0.01)
         xi_err_next = xi_next - PEND.equilibrium_map(x, first_input(z_next, 1))

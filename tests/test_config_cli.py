@@ -155,7 +155,14 @@ class TestCliConfigErrors:
         self.assert_config_error(tmp_path, capsys, text, argv)
 
     @pytest.mark.parametrize(
-        "text", ["[certify]\nn_states = 0\n", "[certify]\nn_value_states = 0\n"], ids=["n_states", "n_value_states"]
+        "text",
+        [
+            "[certify]\nn_states = 0\n",
+            "[certify]\nn_value_states = 0\n",
+            "[certify]\nmultistart_points = 1\n",
+            "[certify]\nsafety_factor = 0.5\n",
+        ],
+        ids=["n_states", "n_value_states", "multistart_points", "safety_factor"],
     )
     def test_rejected_sampling_plan(self, tmp_path, capsys, text):
         self.assert_config_error(tmp_path, capsys, text, ["certify"])

@@ -9,10 +9,9 @@ from redmpc.ocp import (
     first_input,
     gradient,
     horizon_for_delta,
+    iterate_map,
     make_ocp_spec,
-    pgd_step,
     project_box,
-    projected_gradient_norm,
     rollout,
     solve_optimal,
     solver_map,
@@ -193,48 +192,78 @@ class TestProjection:
             assert np.array_equal(project_box(spec, once), once)
 
 
-class TestPgdCore:
+# x1 = x0 + u over one step and cost (x0 + u)^2: from x0 = -c the toy (u - c)^2
+TOY = LinearTwoTimescale(a_slow=0.0, b_slow=0.0, c_slow=2.0, s_fast=0.0, e_fast=0.0)
+TOY_SPEC = OcpSpec(
+    horizon_N=1,
+    state_weight=np.zeros((1, 1)),
+    input_weight=np.zeros((1, 1)),
+    terminal_weight=np.eye(1),
+    input_box=(np.array([-24.0]), np.array([24.0])),
+    delta=0.5,
+)
+
+
+class TestIterateMap:
     def test_fixed_step_toy(self):
         # cost (u-1)^2, one fixed step alpha=0.25 from 0: u <- 0 - 0.25*(-2) = 0.5
-        z, accepted = pgd_step(
-            np.array([0.0]),
-            grad_fn=lambda u: 2 * (u - 1.0),
-            cost_fn=lambda u: float((u[0] - 1.0) ** 2),
-            projector=lambda u: u,
-            rule="fixed",
-            alpha0=0.25,
-        )
-        assert accepted and z[0] == pytest.approx(0.5, abs=1e-15)
+        cfg = SolverConfig(step_rule="fixed", alpha0=0.25)
+        z, rejected, states = iterate_map(TOY_SPEC, TOY, cfg, [-1.0], [0.0])
+        assert z[0] == pytest.approx(0.5, abs=1e-15)
+        assert rejected == 0 and states is None
 
-    def _solve_toy(self, cost_fn, grad_fn, projector, z0, tol=1e-10, iters=10_000):
-        z = projector(np.asarray(z0, dtype=float))
+    def test_fixed_step_is_projected_gradient_step(self):
+        spec = make_ocp_spec(0.1)
+        cfg = SolverConfig(step_rule="fixed", alpha0=3.0)
+        rng = np.random.default_rng(13)
+        x0, z = rng.uniform(-1, 1, 2), rng.uniform(-24, 24, 5)
+        z_next, _, _ = iterate_map(spec, PEND, cfg, x0, z)
+        assert np.array_equal(z_next, project_box(spec, z - 3.0 * gradient(spec, PEND, x0, z)))
+
+    def _solve_toy(self, x0, tol=1e-10, iters=10_000):
+        z = np.zeros(1)
         for _ in range(iters):
-            g = grad_fn(z)
-            if np.linalg.norm(z - projector(z - g)) <= tol:
+            g = gradient(TOY_SPEC, TOY, x0, z)
+            if np.linalg.norm(z - project_box(TOY_SPEC, z - g)) <= tol:
                 break
-            z, accepted = pgd_step(z, grad_fn, cost_fn, projector, rule="backtracking", alpha0=1.0)
-            if not accepted:
+            z, rejected, _ = iterate_map(TOY_SPEC, TOY, CFG, x0, z)
+            if rejected:
                 break
         return z
 
     def test_unconstrained_toy_minimizer(self):
-        z = self._solve_toy(
-            lambda u: float((u[0] - 1.0) ** 2),
-            lambda u: 2 * (u - 1.0),
-            lambda u: u,
-            [0.0],
-        )
-        assert z[0] == pytest.approx(1.0, abs=1e-8)
+        assert self._solve_toy([-1.0])[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_active_bound_toy_minimizer(self):
         # cost (u-30)^2 over |u| <= 24: constrained minimizer at the bound
-        z = self._solve_toy(
-            lambda u: float((u[0] - 30.0) ** 2),
-            lambda u: 2 * (u - 30.0),
-            lambda u: np.clip(u, -24.0, 24.0),
-            [0.0],
+        assert self._solve_toy([-30.0])[0] == pytest.approx(24.0, abs=1e-12)
+
+    def test_returns_rollout_of_result(self):
+        spec = make_ocp_spec(0.1)
+        z, rejected, states = iterate_map(spec, PEND, SolverConfig(iters_per_sample=3), [0.4, -0.2], np.zeros(5))
+        assert rejected == 0
+        assert np.array_equal(states, rollout(spec, PEND, [0.4, -0.2], z))
+
+    def test_overflowing_trial_is_rejected(self):
+        # The base rollout and gradient are finite, but the gradient is ~1e128,
+        # so every trial clips to |u| = 1 and its rollout overflows near step 85.
+        blowup = LinearTwoTimescale(a_slow=1e4, b_slow=0.0, c_slow=1.0, s_fast=0.0, e_fast=0.0)
+        spec = OcpSpec(
+            horizon_N=90,
+            state_weight=np.eye(1),
+            input_weight=np.eye(1),
+            terminal_weight=np.array([[1e-200]]),
+            input_box=(np.array([-1.0]), np.array([1.0])),
+            delta=0.5,
         )
-        assert z[0] == pytest.approx(24.0, abs=1e-12)
+        z = np.zeros(90)
+        z[-1] = 0.5
+        assert np.all(np.isfinite(gradient(spec, blowup, [0.0], z)))
+        with pytest.raises(FloatingPointError, match="rollout overflow"):
+            rollout(spec, blowup, [0.0], project_box(spec, z - gradient(spec, blowup, [0.0], z)))
+        z_next, rejected, _ = iterate_map(spec, blowup, CFG, [0.0], z)
+        assert np.array_equal(z_next, z)
+        assert rejected == 1
 
 
 class TestSolveOptimal:
@@ -336,5 +365,164 @@ class TestSequenceOps:
 class TestProjectedGradientNorm:
     def test_zero_at_constrained_stationary_point(self):
         spec = make_ocp_spec(0.01, horizon_N=2)
-        star = solve_optimal(spec, PEND, SolverConfig(optimal_tol=1e-10), [0.2, 0.1], np.zeros(2))
-        assert projected_gradient_norm(spec, PEND, [0.2, 0.1], star.z) <= 1e-10
+        x0 = [0.2, 0.1]
+        star = solve_optimal(spec, PEND, SolverConfig(optimal_tol=1e-10), x0, np.zeros(2))
+        g = gradient(spec, PEND, x0, star.z)
+        assert np.linalg.norm(star.z - project_box(spec, star.z - g)) <= 1e-10
+
+
+class CountingPendulum(ActuatedPendulum):
+    def __init__(self):
+        super().__init__()
+        self.maps = self.jacobians = 0
+
+    def reduced_map(self, x, u, delta):
+        self.maps += 1
+        return super().reduced_map(x, u, delta)
+
+    def reduced_jacobians(self, x, u, delta):
+        self.jacobians += 1
+        return super().reduced_jacobians(x, u, delta)
+
+
+class TestEvaluationCounts:
+    """Each evaluated point is rolled out once; an accepted trial's rollout is reused."""
+
+    SPEC = make_ocp_spec(0.01)  # N = 50
+    X0 = [0.3, -0.2]
+
+    def test_solver_map(self):
+        model = CountingPendulum()
+        out = solver_map(self.SPEC, model, CFG, self.X0, np.zeros(50))
+        assert out.rejected_steps == 0
+        # gradient rollout + accepted first trial; adjoint at z + diagnostic adjoint
+        assert (model.maps, model.jacobians) == (100, 100)
+
+    def test_iterate_map(self):
+        model = CountingPendulum()
+        _, rejected, _ = iterate_map(self.SPEC, model, CFG, self.X0, np.zeros(50))
+        assert rejected == 0
+        assert (model.maps, model.jacobians) == (100, 50)
+
+
+def reference_armijo(spec, model, x0, z, g, j_ref, alpha, config, noise_floor=-np.inf):
+    for _ in range(config.max_backtracks):
+        candidate = project_box(spec, z - alpha * g)
+        decrease = float(g @ (z - candidate))
+        j_cand = cost(spec, model, x0, candidate)
+        if j_cand <= j_ref - config.armijo_c * decrease or config.armijo_c * decrease <= noise_floor:
+            return candidate, j_cand
+        alpha *= config.shrink
+    return None
+
+
+def reference_iterate(spec, model, config, x0, z):
+    z = project_box(spec, z)
+    rejected = 0
+    for _ in range(config.iters_per_sample):
+        g = gradient(spec, model, x0, z)
+        if config.step_rule == "fixed":
+            z = project_box(spec, z - config.alpha0 * g)
+            continue
+        step = reference_armijo(spec, model, x0, z, g, cost(spec, model, x0, z), config.alpha0, config)
+        if step is None:
+            rejected += 1
+        else:
+            z = step[0]
+    return z, rejected
+
+
+def reference_solver_map(spec, model, config, x0, z):
+    z, rejected = reference_iterate(spec, model, config, x0, z)
+    g = gradient(spec, model, x0, z)
+    pg = float(np.linalg.norm(z - project_box(spec, z - g)))
+    return z, pg, config.iters_per_sample, rejected, True
+
+
+def reference_solve_optimal(spec, model, config, x0, z):
+    z = project_box(spec, z)
+    g = gradient(spec, model, x0, z)
+    recent = [cost(spec, model, x0, z)]
+    pg = float(np.linalg.norm(z - project_box(spec, z - g)))
+    iters = rejected = 0
+    alpha = config.alpha0
+    while pg > config.optimal_tol and iters < config.max_optimal_iters:
+        iters += 1
+        j_ref = max(recent)
+        noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(j_ref))
+        step = reference_armijo(spec, model, x0, z, g, j_ref, alpha, config, noise_floor)
+        if step is None:
+            rejected += 1
+            break
+        z_new, j_new = step
+        g_new = gradient(spec, model, x0, z_new)
+        s, y = z_new - z, g_new - g
+        sy = float(s @ y)
+        alpha = min(max(float(s @ s) / sy, 1e-10), 1e10) if sy > 0.0 else config.alpha0
+        z, g = z_new, g_new
+        recent = (recent + [j_new])[-10:]
+        pg = float(np.linalg.norm(z - project_box(spec, z - g)))
+    return z, pg, iters, rejected, bool(pg <= config.optimal_tol)
+
+
+def linear_case_spec():
+    return OcpSpec(
+        horizon_N=5,
+        state_weight=np.array([[1.0]]),
+        input_weight=np.array([[0.1]]),
+        terminal_weight=np.array([[1.0]]),
+        input_box=(np.array([-10.0]), np.array([10.0])),
+        delta=0.01,
+    )
+
+
+REFERENCE_CASES = {
+    "pendulum-N5": (make_ocp_spec(0.1), PEND, 2, 24.0),
+    "pendulum-N50": (make_ocp_spec(0.01), PEND, 2, 24.0),
+    "linear": (linear_case_spec(), LinearTwoTimescale(), 1, 10.0),
+}
+
+
+class TestReferenceLoop:
+    """The solvers match, bit for bit, a plain loop over the public cost, gradient and project_box."""
+
+    @staticmethod
+    def samples(case, seed):
+        spec, model, n, u_max = REFERENCE_CASES[case]
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            yield spec, model, rng.uniform(-1, 1, n), rng.uniform(-1.5 * u_max, 1.5 * u_max, spec.horizon_N)
+
+    @staticmethod
+    def assert_same(state, ref):
+        z, pg, iters, rejected, converged = ref
+        assert np.array_equal(state.z, z)
+        assert np.array_equal(state.projected_gradient_norm, pg)
+        assert (state.iterations_used, state.rejected_steps, state.converged) == (iters, rejected, converged)
+
+    # the short line search rejects some steps
+    STEPS = {
+        "backtracking": {},
+        "short-backtracking": {"alpha0": 8.0, "max_backtracks": 2},
+        "fixed": {"step_rule": "fixed", "alpha0": 0.3},
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("rule", sorted(STEPS))
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_fixed_budget(self, case, rule, iters):
+        config = SolverConfig(iters_per_sample=iters, **self.STEPS[rule])
+        for spec, model, x0, z in self.samples(case, 14):
+            z_next, rejected, _ = iterate_map(spec, model, config, x0, z)
+            ref_z, ref_rejected = reference_iterate(spec, model, config, x0, z)
+            assert np.array_equal(z_next, ref_z) and rejected == ref_rejected
+            self.assert_same(solver_map(spec, model, config, x0, z), reference_solver_map(spec, model, config, x0, z))
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_solve_optimal(self, case):
+        # to tolerance; out of budget; a one-trial line search that stops the solve
+        for config in (SolverConfig(), SolverConfig(max_optimal_iters=7), SolverConfig(max_backtracks=1)):
+            for spec, model, x0, z in self.samples(case, 15):
+                self.assert_same(
+                    solve_optimal(spec, model, config, x0, z), reference_solve_optimal(spec, model, config, x0, z)
+                )
