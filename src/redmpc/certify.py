@@ -23,10 +23,11 @@ from .plant import PlantModel
 from .ocp import (
     OcpSpec,
     SolverConfig,
+    _dot,
+    _norms,
     cost,
     first_input,
     iterate_map,
-    project_box,
     solve_optimal,
 )
 
@@ -213,7 +214,9 @@ def estimate_lipschitz(
     Returns the analytic constant (tagged) when one is supplied; otherwise a
     sampled lower bound of the true Lipschitz constant. Pairs are drawn from
     a deterministic stream, so increasing ``count`` never decreases the
-    estimate. A degenerate (zero-volume) box is rejected.
+    estimate. ``fn`` maps a ``(count, dim)`` array of points to one row (or
+    one number) per point; it is called twice, once per end of the pairs. A
+    degenerate (zero-volume) box is rejected.
     """
     if analytic is not None:
         return Estimate(value=float(analytic), tag=ANALYTIC)
@@ -225,16 +228,10 @@ def estimate_lipschitz(
         raise ValueError("sampling box has zero volume: high must exceed low somewhere")
     rng = np.random.default_rng(seed)
     points = _uniform_stream(rng, low, high, 2 * count)
-    best = 0.0
-    for i in range(count):
-        a, b = points[2 * i], points[2 * i + 1]
-        gap = float(np.linalg.norm(a - b))
-        if gap < 1e-12:
-            continue
-        ratio = float(np.linalg.norm(np.atleast_1d(fn(a)) - np.atleast_1d(fn(b)))) / gap
-        if ratio > best:
-            best = ratio
-    return Estimate(value=best, tag=SAMPLED, samples=count)
+    a, b = points[0::2], points[1::2]
+    rises = _norms(np.reshape(fn(a), (count, -1)) - np.reshape(fn(b), (count, -1)))
+    gaps = _norms(a - b)
+    return Estimate(value=_max_pair_quotient(rises, gaps, gaps, 1e-12), tag=SAMPLED, samples=count)
 
 
 def _max_pair_quotient(rises: np.ndarray, gaps: np.ndarray, scale: np.ndarray, min_gap: float) -> float:
@@ -359,7 +356,7 @@ def boundary_layer_check(
     solver_config: SolverConfig,
     kappa: float,
     states: np.ndarray,
-    zstars: list[np.ndarray],
+    zstars: np.ndarray,
     xi_errs: np.ndarray,
     z_errs: np.ndarray,
 ) -> BoundaryLayerResult:
@@ -372,31 +369,31 @@ def boundary_layer_check(
     kappa * ||z_err||^2 must strictly decrease. ``xi_errs`` has shape
     (states, samples, p) and ``z_errs`` (states, samples, N*m). d1..d4 are the
     quadratic bounds of that composite over the stacked errors [xi_err,
-    z_err]; any violation fails with the witness (x, xi_err, z_err).
+    z_err]; any violation fails with the witness (x, xi_err, z_err). All
+    samples take their optimizer step in one batched ``iterate_map`` call.
     """
     m, p = model.m, model.p
-    sample_states, errors = [], []  # frozen slow state and stacked [xi_err, z_err] per sample
-    values, values_next = [], []  # composite value at each sample and at its one-step image
-    for x, zstar, state_xi_errs, state_z_errs in zip(states, zstars, xi_errs, z_errs):
-        for xi_err, z_err in zip(state_xi_errs, state_z_errs):
-            z = zstar + z_err
-            u = first_input(z, m)
-            xi = xi_err + model.equilibrium_map(x, u)
-            z_next, _, _ = iterate_map(spec, model, solver_config, x, z)
-            xi_next = model.extra_map(xi, x, u, spec.delta)
-            u_next = first_input(z_next, m)
-            xi_err_next = xi_next - model.equilibrium_map(x, u_next)
-            z_err_next = z_next - zstar
-            sample_states.append(x)
-            errors.append(np.concatenate([xi_err, z_err]))
-            values.append(float(xi_err @ xi_err) + kappa * float(z_err @ z_err))
-            values_next.append(float(xi_err_next @ xi_err_next) + kappa * float(z_err_next @ z_err_next))
+    per_state = np.shape(xi_errs)[1]
+    # one row per sample: its frozen slow state, minimizer and errors
+    x = np.repeat(states, per_state, axis=0)
+    zstar = np.repeat(zstars, per_state, axis=0)
+    xi_err = np.reshape(xi_errs, (-1, p))
+    z_err = np.reshape(z_errs, (len(x), -1))
+    z = zstar + z_err
+    u = first_input(z, m)
+    xi = xi_err + model.equilibrium_map(x, u)
+    z_next, _, _ = iterate_map(spec, model, solver_config, x, z)
+    xi_next = model.extra_map(xi, x, u, spec.delta)
+    xi_err_next = xi_next - model.equilibrium_map(x, first_input(z_next, m))
+    z_err_next = z_next - zstar
+    values = _dot(xi_err, xi_err) + kappa * _dot(z_err, z_err)
+    values_next = _dot(xi_err_next, xi_err_next) + kappa * _dot(z_err_next, z_err_next)
 
-    bounds = quadratic_bounds(values, values_next, np.array(errors))
+    bounds = quadratic_bounds(values, values_next, np.concatenate([xi_err, z_err], axis=1))
     witness = None
     if not bounds.ok:
         k = bounds.witness_index
-        witness = (sample_states[k].copy(), errors[k][:p].copy(), errors[k][p:].copy())
+        witness = (x[k].copy(), xi_err[k].copy(), z_err[k].copy())
     return BoundaryLayerResult(
         passed=bounds.ok,
         d1=bounds.lower,
@@ -577,62 +574,50 @@ def closed_loop_decrease_check(
     prediction horizon stays at the certified spec's value while the
     timescale is substituted, so the optimizer state keeps its dimension.
     The plan sets the sample count (``closed_loop_samples``), the state ball
-    about x* (``near_eq_ball``) and the error balls.
+    about x* (``near_eq_ball``) and the error balls. The minimizers at the
+    sampled states, and then at their successors, come from one batched
+    cold-started solve each.
     """
     rng = np.random.default_rng(plan.seed + 2)
     spec_d = spec.with_delta(delta)
     n, p, m = model.n, model.p, model.m
     nz = spec_d.horizon_N * m
     count = plan.closed_loop_samples
-    x_star = model.x_star
 
-    cache: dict[bytes, tuple[np.ndarray, float]] = {}
+    def minimizers_and_values(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sol = solve_optimal(spec_d, model, solver_config, xs, np.zeros((len(xs), nz)))
+        if not sol.converged:
+            x = xs[np.argmax(sol.projected_gradient_norm > solver_config.optimal_tol)]
+            raise CertificationError(f"minimizer solve did not converge at state {x}")
+        return sol.z, cost(spec_d, model, xs, sol.z)
 
-    def minimizer_and_value(x: np.ndarray) -> tuple[np.ndarray, float]:
-        key = x.tobytes()
-        if key not in cache:
-            sol = solve_optimal(spec_d, model, solver_config, x, np.zeros(nz))
-            if not sol.converged:
-                raise CertificationError(f"minimizer solve did not converge at state {x}")
-            cache[key] = (sol.z, cost(spec_d, model, x, sol.z))
-        return cache[key]
-
-    worst = math.inf
-    witness = None
-    passed = True
-    xs = x_star + _ball_samples(rng, n, count, plan.near_eq_ball, plan.near_eq_ball * 0.05)
+    xs = model.x_star + _ball_samples(rng, n, count, plan.near_eq_ball, plan.near_eq_ball * 0.05)
     xi_errs = _ball_samples(rng, p, count, plan.error_ball, plan.error_min_norm)
     z_errs = _ball_samples(rng, nz, count, plan.error_ball, plan.error_min_norm)
-    for x, xi_err, z_err in zip(xs, xi_errs, z_errs):
-        zstar, w_val = minimizer_and_value(x)
-        u_star_x = first_input(zstar, m)
-        z = zstar + z_err
-        xi = xi_err + model.equilibrium_map(x, u_star_x)
-        value = w_val + float(xi_err @ xi_err) + kappa * float(z_err @ z_err)
+    zstar, w_val = minimizers_and_values(xs)
+    z = zstar + z_errs
+    xi = xi_errs + model.equilibrium_map(xs, first_input(zstar, m))
+    value = w_val + _dot(xi_errs, xi_errs) + kappa * _dot(z_errs, z_errs)
 
-        u = first_input(z, m)
-        x_next = model.target_map(x, xi, u, delta)
-        xi_next = model.extra_map(xi, x, u, delta)
-        z_next, _, _ = iterate_map(spec_d, model, solver_config, x, z)
+    u = first_input(z, m)
+    x_next = model.target_map(xs, xi, u, delta)
+    xi_next = model.extra_map(xi, xs, u, delta)
+    z_next, _, _ = iterate_map(spec_d, model, solver_config, xs, z)
 
-        zstar_next, w_next = minimizer_and_value(x_next)
-        u_star_next = first_input(zstar_next, m)
-        xi_err_next = xi_next - model.equilibrium_map(x_next, u_star_next)
-        z_err_next = z_next - zstar_next
-        value_next = w_next + float(xi_err_next @ xi_err_next) + kappa * float(z_err_next @ z_err_next)
+    zstar_next, w_next = minimizers_and_values(x_next)
+    xi_err_next = xi_next - model.equilibrium_map(x_next, first_input(zstar_next, m))
+    z_err_next = z_next - zstar_next
+    value_next = w_next + _dot(xi_err_next, xi_err_next) + kappa * _dot(z_err_next, z_err_next)
 
-        margin = value - value_next
-        if margin < worst:
-            worst = margin
-            if margin <= 0.0:
-                passed = False
-                witness = np.concatenate([x, xi_err, [float(np.linalg.norm(z_err))]])
+    margins = value - value_next
+    k = int(np.argmin(margins))  # the first sample with the smallest margin
+    passed = bool(margins[k] > 0.0)
     return ClosedLoopDecreaseResult(
         passed=passed,
         delta=delta,
         samples=count,
-        worst_margin=worst,
-        witness=witness,
+        worst_margin=float(margins[k]),
+        witness=None if passed else np.concatenate([xs[k], xi_errs[k], _norms(z_errs[k])[None]]),
     )
 
 
@@ -776,11 +761,9 @@ def _equilibrium_identity(model, plan, rng):
     n = model.n
     pts = _uniform_stream(rng, *plan.box(model, "x", "u"), plan.equilibrium_samples)
     deltas = 10.0 ** rng.uniform(-3, math.log10(plan.delta_cap), plan.equilibrium_samples)
-    worst = 0.0
-    for row, d in zip(pts, deltas):
-        x, u = row[:n], row[n:]
-        xi_eq = model.equilibrium_map(x, u)
-        worst = max(worst, float(np.linalg.norm(model.extra_map(xi_eq, x, u, d) - xi_eq)))
+    x, u = pts[:, :n], pts[:, n:]
+    xi_eq = model.equilibrium_map(x, u)
+    worst = float(np.max(_norms(model.extra_map(xi_eq, x, u, deltas) - xi_eq), initial=0.0))
     detail = f"max |g(xi_eq,x,u,delta) - xi_eq| = {worst:.3e} over {plan.equilibrium_samples} samples (tol 1e-12)"
     return worst, [Verdict("equilibrium-identity", worst <= 1e-12, detail)]
 
@@ -788,30 +771,28 @@ def _equilibrium_identity(model, plan, rng):
 def _plant_lipschitz(model, plan, rng, delta):
     """Lipschitz constants of the plant maps: slow coupling, extra map, equilibrium map."""
     n, p, m = model.n, model.p, model.m
-    sampled = 0.0  # max |f(x, xi_a, u_a) - f(x, xi_b, u_b)| / (delta (|xi_a - xi_b| + |u_a - u_b|))
-    for row in _uniform_stream(rng, *plan.box(model, "x", "xi", "u", "xi", "u"), plan.lipschitz_pairs):
-        x = row[:n]
-        xi_a, u_a = row[n : n + p], row[n + p : n + p + m]
-        xi_b, u_b = row[n + p + m : n + 2 * p + m], row[n + 2 * p + m :]
-        gap = float(np.linalg.norm(xi_a - xi_b)) + float(np.linalg.norm(u_a - u_b))
-        if gap < 1e-12:
-            continue
-        diff = float(np.linalg.norm(model.target_map(x, xi_a, u_a, delta) - model.target_map(x, xi_b, u_b, delta)))
-        sampled = max(sampled, diff / (delta * gap))
+    # max |f(x, xi_a, u_a) - f(x, xi_b, u_b)| / (delta (|xi_a - xi_b| + |u_a - u_b|))
+    rows = _uniform_stream(rng, *plan.box(model, "x", "xi", "u", "xi", "u"), plan.lipschitz_pairs)
+    x = rows[:, :n]
+    xi_a, u_a = rows[:, n : n + p], rows[:, n + p : n + p + m]
+    xi_b, u_b = rows[:, n + p + m : n + 2 * p + m], rows[:, n + 2 * p + m :]
+    gaps = _norms(xi_a - xi_b) + _norms(u_a - u_b)
+    diffs = _norms(model.target_map(x, xi_a, u_a, delta) - model.target_map(x, xi_b, u_b, delta))
+    sampled = _max_pair_quotient(diffs, gaps, delta * gaps, 1e-12)
     analytic = model.lip_target_fast
     constants = {
         "lip_slow_coupling": Estimate(analytic, ANALYTIC)
         if analytic is not None
         else Estimate(sampled, SAMPLED, plan.lipschitz_pairs),
         "lip_extra": estimate_lipschitz(
-            lambda v: model.extra_map(v[:p], v[p : p + n], v[p + n :], delta),
+            lambda v: model.extra_map(v[:, :p], v[:, p : p + n], v[:, p + n :], delta),
             *plan.box(model, "xi", "x", "u"),
             plan.lipschitz_pairs,
             seed=plan.seed + 3,
             analytic=model.lip_extra,
         ),
         "lip_equilibrium": estimate_lipschitz(
-            lambda v: model.equilibrium_map(v[:n], v[n:]),
+            lambda v: model.equilibrium_map(v[:, :n], v[:, n:]),
             *plan.box(model, "x", "u"),
             plan.lipschitz_pairs,
             seed=plan.seed + 4,
@@ -827,11 +808,9 @@ def _fast_bounds(model, plan, rng, delta):
     n = model.n
     pts = _uniform_stream(rng, *plan.box(model, "x", "u"), plan.fast_samples)
     errors = _ball_samples(rng, model.p, plan.fast_samples, plan.error_ball * 2.0, 1e-3)
-    stepped = np.empty_like(errors)
-    for i, (row, e) in enumerate(zip(pts, errors)):
-        x, u = row[:n], row[n:]
-        xi_eq = model.equilibrium_map(x, u)
-        stepped[i] = model.extra_map(e + xi_eq, x, u, delta) - xi_eq
+    x, u = pts[:, :n], pts[:, n:]
+    xi_eq = model.equilibrium_map(x, u)
+    stepped = model.extra_map(errors + xi_eq, x, u, delta) - xi_eq
     bounds = quadratic_bounds(np.sum(errors**2, axis=1), np.sum(stepped**2, axis=1), errors)
     detail = f"a3 = {bounds.decrease:.6g} over {bounds.samples} samples" + (
         "" if bounds.ok else f"; witness error {bounds.witness}"
@@ -842,23 +821,22 @@ def _fast_bounds(model, plan, rng, delta):
 def _minimizer_solves(model, spec, solver_config, plan, rng):
     """Sampled slow states and their minimizers solved to tolerance, shared by the later fast stages."""
     states = _ball_samples(rng, model.n, plan.n_states, plan.state_ball)
-    sols = [solve_optimal(spec, model, solver_config, x, np.zeros(spec.horizon_N * model.m)) for x in states]
+    sol = solve_optimal(spec, model, solver_config, states, np.zeros((len(states), spec.horizon_N * model.m)))
     verdicts = []
-    if not all(sol.converged for sol in sols):
+    if not sol.converged:
         verdicts.append(Verdict("minimizer-solves", False, "solve-to-tolerance failed at a sampled state"))
-    return (states, [sol.z for sol in sols]), verdicts
+    return (states, sol.z), verdicts
 
 
 def _optimizer_bounds(model, spec, solver_config, plan, rng, states, zstars):
     """b-constants: quadratic bounds of the optimizer error ||z - z*(x)||^2, frozen state per pair."""
-    nz = spec.horizon_N * model.m
-    errors, stepped = [], []
-    for x, zstar in zip(states, zstars):
-        for e in _ball_samples(rng, nz, plan.optimizer_pairs_per_state, plan.error_ball, plan.error_min_norm):
-            z_next, _, _ = iterate_map(spec, model, solver_config, x, zstar + e)
-            errors.append(e)
-            stepped.append(z_next - zstar)
-    errors, stepped = np.array(errors), np.array(stepped)
+    nz, pairs = spec.horizon_N * model.m, plan.optimizer_pairs_per_state
+    errors = np.concatenate(
+        [_ball_samples(rng, nz, pairs, plan.error_ball, plan.error_min_norm) for _ in states]
+    )
+    zstar = np.repeat(zstars, pairs, axis=0)
+    z_next, _, _ = iterate_map(spec, model, solver_config, np.repeat(states, pairs, axis=0), zstar + errors)
+    stepped = z_next - zstar
     bounds = quadratic_bounds(np.sum(errors**2, axis=1), np.sum(stepped**2, axis=1), errors)
     detail = f"b3 = {bounds.decrease:.6g} over {bounds.samples} frozen-state pairs"
     return bounds, [Verdict("optimizer-decrease", bounds.ok, detail)]
@@ -868,40 +846,45 @@ def _map_lipschitz(model, spec, solver_config, plan, rng, states, zstars):
     """Sampled Lipschitz constants of the iteration map (lip_T) and the stacked fast map (lip_G)."""
     p, m, delta = model.p, model.m, spec.delta
     nz = spec.horizon_N * m
-    lip_T = lip_G = 0.0
-    for x, zstar in zip(states, zstars):
-        for _ in range(max(1, plan.map_pairs // max(1, len(states)))):
-            za = zstar + _ball_samples(rng, nz, 1, plan.error_ball, 1e-6)[0]
-            zb = zstar + _ball_samples(rng, nz, 1, plan.error_ball, 1e-6)[0]
-            ta, _, _ = iterate_map(spec, model, solver_config, x, za)
-            tb, _, _ = iterate_map(spec, model, solver_config, x, zb)
-            gap = float(np.linalg.norm(za - zb))
-            if gap > 1e-12:
-                lip_T = max(lip_T, float(np.linalg.norm(ta - tb)) / gap)
-            # stacked fast map (extra state update, optimizer update)
-            xia = _ball_samples(rng, p, 1, plan.error_ball)[0] + model.equilibrium_map(x, first_input(za, m))
-            xib = _ball_samples(rng, p, 1, plan.error_ball)[0] + model.equilibrium_map(x, first_input(zb, m))
-            ga = model.extra_map(xia, x, first_input(za, m), delta)
-            gb = model.extra_map(xib, x, first_input(zb, m), delta)
-            wgap = math.sqrt(float(np.linalg.norm(xia - xib)) ** 2 + gap**2)
-            if wgap > 1e-12:
-                gdiff = math.sqrt(float(np.linalg.norm(ga - gb)) ** 2 + float(np.linalg.norm(ta - tb)) ** 2)
-                lip_G = max(lip_G, gdiff / wgap)
+    per_state = max(1, plan.map_pairs // max(1, len(states)))
+
+    def error(dim: int, min_norm: float = 0.0) -> np.ndarray:
+        return _ball_samples(rng, dim, 1, plan.error_ball, min_norm)[0]
+
+    # per pair, in stream order: the two optimizer errors, then the two extra-state errors
+    draws = [(error(nz, 1e-6), error(nz, 1e-6), error(p), error(p)) for _ in range(len(states) * per_state)]
+    dza, dzb, dxia, dxib = (np.array(side) for side in zip(*draws))
+    x, zstar = np.repeat(states, per_state, axis=0), np.repeat(zstars, per_state, axis=0)
+    za, zb = zstar + dza, zstar + dzb
+    t, _, _ = iterate_map(spec, model, solver_config, np.concatenate([x, x]), np.concatenate([za, zb]))
+    ta, tb = t[: len(x)], t[len(x) :]
+    gaps, steps = _norms(za - zb), _norms(ta - tb)
+    far = gaps > 1e-12
+    lip_T = float(np.max(steps[far] / gaps[far], initial=0.0))
+    # stacked fast map (extra state update, optimizer update)
+    ua, ub = first_input(za, m), first_input(zb, m)
+    xia = dxia + model.equilibrium_map(x, ua)
+    xib = dxib + model.equilibrium_map(x, ub)
+    ga = model.extra_map(xia, x, ua, delta)
+    gb = model.extra_map(xib, x, ub, delta)
+    # squares by float_power, which rounds as Python's ``**`` on floats does
+    wgaps = np.sqrt(np.float_power(_norms(xia - xib), 2) + np.float_power(gaps, 2))
+    gdiffs = np.sqrt(np.float_power(_norms(ga - gb), 2) + np.float_power(steps, 2))
+    far = wgaps > 1e-12
+    lip_G = float(np.max(gdiffs[far] / wgaps[far], initial=0.0))
     return {"lip_T": Estimate(lip_T, SAMPLED, plan.map_pairs), "lip_G": Estimate(lip_G, SAMPLED, plan.map_pairs)}, []
 
 
 def _multistart(model, spec, solver_config, plan, rng, states, zstars):
     """Uniqueness probe: solves from random starts in the input box must meet the minimizer."""
     box_lo, box_hi = np.tile(spec.input_box[0], spec.horizon_N), np.tile(spec.input_box[1], spec.horizon_N)
-    spread = 0.0
-    for x, zstar in zip(states[: plan.multistart_states], zstars[: plan.multistart_states]):
-        finals = [zstar]
-        for _ in range(plan.multistart_points - 1):
-            z0 = _uniform_stream(rng, box_lo, box_hi, 1)[0]
-            finals.append(solve_optimal(spec, model, solver_config, x, z0).z)
-        for i in range(len(finals)):
-            for j in range(i + 1, len(finals)):
-                spread = max(spread, float(np.linalg.norm(finals[i] - finals[j])))
+    probed, starts = len(states[: plan.multistart_states]), plan.multistart_points - 1
+    z0 = _uniform_stream(rng, box_lo, box_hi, probed * starts)
+    finals = solve_optimal(spec, model, solver_config, np.repeat(states[:probed], starts, axis=0), z0).z
+    # per probed state: its minimizer, then its solves from the random starts
+    finals = np.concatenate([zstars[:probed, None], finals.reshape(probed, starts, -1)], axis=1)
+    i, j = np.triu_indices(plan.multistart_points, 1)
+    spread = float(np.max(_norms(finals[:, i] - finals[:, j]), initial=0.0))
     detail = f"multistart spread {spread:.3e} over {plan.multistart_states} states x {plan.multistart_points} starts"
     return spread, [Verdict("minimizer-uniqueness", spread <= 1e-4, detail)]
 
@@ -946,21 +929,17 @@ def _reduced_value(model, spec, solver_config, plan, rng):
     delta, x_star, m = spec.delta, model.x_star, model.m
     count = plan.n_value_states
     states = _ball_samples(rng, model.n, count, plan.state_ball, plan.state_ball * 0.02)
-    values, values_next, drift = np.empty(count), np.empty(count), np.empty(count)
-    zstars = []
-    warm = np.zeros(spec.horizon_N * m)
-    solves_ok = True
-    for i, x in enumerate(states):
-        sol = solve_optimal(spec, model, solver_config, x, warm)
-        solves_ok &= sol.converged
-        zstars.append(sol.z)
-        values[i] = cost(spec, model, x, sol.z)
-        x_next = model.reduced_map(x, first_input(sol.z, m), delta)
-        sol_next = solve_optimal(spec, model, solver_config, x_next, sol.z)
-        solves_ok &= sol_next.converged
-        values_next[i] = cost(spec, model, x_next, sol_next.z)
-        err = float(np.linalg.norm(x - x_star))
-        drift[i] = float(np.linalg.norm(x_next - x)) / (delta * err) if err > 0 else 0.0
+    # minimizers cold-started at the states, then warm-started from them at their successors
+    sol = solve_optimal(spec, model, solver_config, states, np.zeros((count, spec.horizon_N * m)))
+    zstars = sol.z
+    values = cost(spec, model, states, zstars)
+    x_next = model.reduced_map(states, first_input(zstars, m), delta)
+    sol_next = solve_optimal(spec, model, solver_config, x_next, zstars)
+    values_next = cost(spec, model, x_next, sol_next.z)
+    solves_ok = sol.converged and sol_next.converged
+    errs = _norms(states - x_star)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drift = np.where(errs > 0, _norms(x_next - states) / (delta * errs), 0.0)
     verdicts = [] if solves_ok else [Verdict("reduced-value-solves", False, "value-function solves missed tolerance")]
 
     bounds = quadratic_bounds(values, values_next, states, decrease_divisor=delta, center=x_star)
@@ -968,8 +947,7 @@ def _reduced_value(model, spec, solver_config, plan, rng):
     verdicts.append(Verdict("reduced-value-decrease", bounds.ok, detail))
 
     # minimizer map Lipschitz constant by secant slopes across consecutive sampled states
-    # (row by row: one batched norm sums in another order and moves the last bit)
-    rises = np.array([np.linalg.norm(a - b) for a, b in zip(zstars, zstars[1:])])
+    rises = _norms(zstars[:-1] - zstars[1:])
     gaps = np.linalg.norm(np.diff(states, axis=0), axis=1)
     lip_zstar = _max_pair_quotient(rises, gaps, gaps, 1e-9)
 

@@ -6,6 +6,11 @@ row-major, so ``z`` has length ``N * m``. The per-sample suboptimal update
 benchmark (``solve_optimal``) iterates projected gradient steps with spectral
 (Barzilai-Borwein) step lengths until the projected-gradient norm meets a
 tolerance.
+
+Every function here solves one problem, or a batch of B problems when ``x0``
+and ``z`` carry a leading axis of B lanes. Each lane is computed by the same
+operations as its lone call, so lane ``k`` of a batch equals that call bit for
+bit.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .plant import PlantModel, _as_vector
+from .plant import PlantModel
 
 __all__ = [
     "OcpSpec",
@@ -118,17 +123,24 @@ class SolverConfig:
             raise ValueError("alpha0 must be positive")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink must lie in (0, 1)")
+        if self.max_backtracks < 1:
+            raise ValueError("max_backtracks must be a positive integer")
         if self.optimal_tol <= 0.0:
             raise ValueError("optimal_tol must be positive")
 
 
 @dataclass
 class OptimizerState:
-    """Stacked input sequence plus solver diagnostics."""
+    """Stacked input sequence plus solver diagnostics.
+
+    For a batch, ``z`` holds one row and ``projected_gradient_norm`` one entry
+    per lane, while ``iterations_used``, ``converged`` and ``rejected_steps``
+    describe the whole batch (see ``solve_optimal``).
+    """
 
     z: np.ndarray
     iterations_used: int = 0
-    projected_gradient_norm: float = math.nan
+    projected_gradient_norm: float | np.ndarray = math.nan
     converged: bool = True
     rejected_steps: int = 0
 
@@ -167,119 +179,180 @@ def make_ocp_spec(delta: float, horizon_N: int | None = None, u_max: float = BEN
 
 
 def _check_z(spec: OcpSpec, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float).reshape(-1)
+    """``z`` as ``(N*m,)`` or ``(B, N*m)`` floats."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
     expected = spec.horizon_N * spec.m
-    if z.shape[0] != expected:
-        raise ValueError(f"z must have length N*m = {expected}, got {z.shape[0]}")
+    if z.ndim > 2 or z.shape[-1] != expected:
+        raise ValueError(f"z must have length N*m = {expected}, got shape {z.shape}")
     return z
 
 
+def _lanes(spec: OcpSpec, model: PlantModel, x0, z) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Start states ``(B, n)`` and sequences ``(B, N*m)`` of a call, and whether it had a batch axis.
+
+    ``x0`` is ``(n,)`` with ``z`` ``(N*m,)`` (one problem, B = 1), or ``(B, n)``
+    with ``z`` ``(B, N*m)``.
+    """
+    z = _check_z(spec, z)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    expected = z.shape[:-1] + (model.n,)
+    if x0.shape != expected:
+        raise ValueError(f"x0 must have shape {expected} to match z of shape {z.shape}, got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 contains non-finite entries: {x0}")
+    return x0.reshape(-1, model.n), z.reshape(-1, z.shape[-1]), z.ndim == 2
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``a . b``: each row by the same BLAS dot product as a 1-D ``a @ b``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean norm, equal bit for bit to ``np.linalg.norm`` of each row alone."""
+    return np.sqrt(_dot(v, v))
+
+
+def _quadratic(v: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Row-wise ``v' W v``, each row by the same BLAS calls as a 1-D ``v @ W @ v``."""
+    return ((v[..., None, :] @ weight) @ v[..., :, None])[..., 0, 0]
+
+
+def _rollout(spec: OcpSpec, model: PlantModel, x0: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Predicted states ``(B, N+1, n)`` of B problems; a lane that overflows holds non-finite values."""
+    N, m = spec.horizon_N, spec.m
+    states = np.empty((len(x0), N + 1, model.n))
+    states[:, 0] = x = x0
+    u = z.reshape(len(z), N, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tau in range(N):
+            x = states[:, tau + 1] = model.reduced_map(x, u[:, tau], spec.delta)
+    return states
+
+
+def _checked(states: np.ndarray) -> np.ndarray:
+    """``states``, or an error naming the first lane and step whose prediction overflowed."""
+    if not np.isfinite(states).all():
+        lane, step = np.argwhere(~np.isfinite(states).all(axis=2))[0]
+        raise FloatingPointError(f"rollout overflow: non-finite state at step {step} in lane {lane}")
+    return states
+
+
 def rollout(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
-    """Predicted state sequence x_0..x_N under the reduced model.
+    """Predicted state sequence x_0..x_N under the reduced model: ``(N+1, n)``, or ``(B, N+1, n)`` for a batch.
 
     Raises with the offending step index if any intermediate state is
     non-finite (overflow along the prediction).
     """
-    x0 = _as_vector(x0, model.n, "x0")
-    z = _check_z(spec, z)
-    N, m = spec.horizon_N, spec.m
-    states = np.empty((N + 1, model.n))
-    states[0] = x0
-    x = x0
-    for tau in range(N):
-        x = model.reduced_map(x, z[tau * m : (tau + 1) * m], spec.delta)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"rollout overflow: non-finite state at step {tau + 1}")
-        states[tau + 1] = x
-    return states
+    x0, z, batched = _lanes(spec, model, x0, z)
+    states = _checked(_rollout(spec, model, x0, z))
+    return states if batched else states[0]
 
 
-def _value(spec: OcpSpec, states: np.ndarray, z: np.ndarray) -> float:
-    """Stage costs x'Qx + u'Rw u plus terminal x'Qf x along a rollout already taken."""
+def _value(spec: OcpSpec, states: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per lane: stage costs x'Qx + u'Rw u plus terminal x'Qf x along a rollout already taken.
+
+    The horizon is summed in one pass, in order, as a running total adds it.
+    """
     N, m = spec.horizon_N, spec.m
-    Q, Rw, Qf = spec.state_weight, spec.input_weight, spec.terminal_weight
-    total = 0.0
+    terms = np.empty((len(z), N + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for tau in range(N):
-            x = states[tau]
-            u = z[tau * m : (tau + 1) * m]
-            total += float(x @ Q @ x) + float(u @ Rw @ u)
-        xN = states[N]
-        total += float(xN @ Qf @ xN)
-    return total
+        terms[:, :N] = _quadratic(states[:, :N], spec.state_weight) + _quadratic(
+            z.reshape(len(z), N, m), spec.input_weight
+        )
+        terms[:, N] = _quadratic(states[:, N], spec.terminal_weight)
+        return np.cumsum(terms, axis=1)[:, N]
 
 
 def _adjoint(spec: OcpSpec, model: PlantModel, states: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Objective gradient w.r.t. z by the reverse sweep along a rollout already taken."""
+    """Per lane: objective gradient w.r.t. z by the reverse sweep along a rollout already taken.
+
+    The Jacobians along all N steps of every lane come from one
+    ``reduced_jacobians`` call on the stacked rollout.
+    """
     N, m = spec.horizon_N, spec.m
-    Q, Rw, Qf = spec.state_weight, spec.input_weight, spec.terminal_weight
-    grad = np.empty_like(z)
+    u = z.reshape(len(z), N, m)
+    jac_x, jac_u = model.reduced_jacobians(states[:, :N], u, spec.delta)
+    jac_x_t = jac_x.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = 2.0 * (Qf @ states[N])
-        for tau in range(N - 1, -1, -1):
-            x = states[tau]
-            u = z[tau * m : (tau + 1) * m]
-            jac_x, jac_u = model.reduced_jacobians(x, u, spec.delta)
-            grad[tau * m : (tau + 1) * m] = 2.0 * (Rw @ u) + jac_u.T @ lam
-            lam = 2.0 * (Q @ x) + jac_x.T @ lam
-            if not np.all(np.isfinite(lam)):
-                raise FloatingPointError(f"gradient overflow: non-finite adjoint at step {tau}")
-    return grad
+        state_terms = 2.0 * (spec.state_weight @ states[:, :N, :, None])  # column tau: 2 Q x_tau
+        costates = np.empty_like(state_terms)  # column tau: the costate after step tau
+        lam = 2.0 * (spec.terminal_weight @ states[:, N, :, None])
+        for tau in reversed(range(N)):
+            costates[:, tau] = lam
+            lam = state_terms[:, tau] + jac_x_t[:, tau] @ lam
+        grad = 2.0 * (spec.input_weight @ u[..., None]) + jac_u.swapaxes(-1, -2) @ costates
+    if not np.isfinite(lam).all():
+        lane = int(np.argmin(np.isfinite(lam).all(axis=(1, 2))))
+        raise FloatingPointError(f"gradient overflow: non-finite adjoint in lane {lane}")
+    return grad.reshape(len(z), N * m)
 
 
-def cost(spec: OcpSpec, model: PlantModel, x0, z) -> float:
-    """Objective: sum of stage costs x'Qx + u'Rw u plus terminal x'Qf x.
+def cost(spec: OcpSpec, model: PlantModel, x0, z):
+    """Objective: sum of stage costs x'Qx + u'Rw u plus terminal x'Qf x; one value per lane for a batch.
 
     States that overflow the quadratic form yield an infinite cost (which any
     line search rejects) rather than a warning.
     """
-    z = _check_z(spec, z)
-    return _value(spec, rollout(spec, model, x0, z), z)
+    x0, z, batched = _lanes(spec, model, x0, z)
+    values = _value(spec, _checked(_rollout(spec, model, x0, z)), z)
+    return values if batched else float(values[0])
 
 
 def gradient(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
-    """Exact objective gradient w.r.t. z by reverse accumulation along the rollout."""
-    z = _check_z(spec, z)
-    return _adjoint(spec, model, rollout(spec, model, x0, z), z)
+    """Exact objective gradient w.r.t. z by reverse accumulation along the rollout; one row per lane for a batch."""
+    x0, z, batched = _lanes(spec, model, x0, z)
+    grad = _adjoint(spec, model, _checked(_rollout(spec, model, x0, z)), z)
+    return grad if batched else grad[0]
+
+
+def _project(spec: OcpSpec, z: np.ndarray) -> np.ndarray:
+    """``project_box`` of sequences already checked."""
+    lo, hi = spec.input_box
+    return np.minimum(np.maximum(z.reshape(-1, spec.horizon_N, spec.m), lo), hi).reshape(z.shape)
 
 
 def project_box(spec: OcpSpec, z) -> np.ndarray:
-    """Componentwise clamp of each input block into the input box. Idempotent."""
-    z = _check_z(spec, z)
-    lo, hi = spec.input_box
-    N = spec.horizon_N
-    return np.clip(z.reshape(N, spec.m), lo, hi).reshape(-1)
+    """Componentwise clamp of each input block into the input box, per row of a batch. Idempotent."""
+    return _project(spec, _check_z(spec, z))
 
 
-def _pg_norm(spec: OcpSpec, z: np.ndarray, g: np.ndarray) -> float:
-    """Stationarity measure ||z - clip(z - g)|| used as the stopping rule."""
-    return float(np.linalg.norm(z - project_box(spec, z - g)))
+def _pg_norm(spec: OcpSpec, z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per lane: stationarity measure ||z - clip(z - g)|| used as the stopping rule."""
+    return _norms(z - _project(spec, z - g))
 
 
 def _armijo_backtrack(
     spec: OcpSpec, model: PlantModel, x0, z, g, j_ref, alpha, config: SolverConfig, noise_floor=-math.inf
-) -> tuple[np.ndarray, float, np.ndarray] | None:
-    """Armijo backtracking along the projection arc ``project_box(z - alpha * g)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Armijo backtracking along the projection arc ``project_box(z - alpha * g)``, lane by lane.
 
-    Each trial is rolled out once. Returns the first trial point, with its
-    cost and rollout, whose cost lies sufficiently below ``j_ref`` or whose
-    predicted decrease is at or below ``noise_floor`` (the resolution of a
-    cost evaluation); ``None`` when every trial fails. A trial whose
-    prediction overflows has infinite cost and fails.
+    Each lane shrinks its own ``alpha`` until its trial point's cost lies
+    sufficiently below its ``j_ref`` or its predicted decrease is at or below
+    its ``noise_floor`` (the resolution of a cost evaluation); a trial whose
+    prediction overflows fails. Each trial is rolled out once, and later
+    trials roll out only the lanes still searching. Returns each lane's last
+    trial point, its cost and rollout, and whether the lane accepted it.
     """
+    alpha, j_ref, noise_floor = (np.full(len(z), v, dtype=float) for v in (alpha, j_ref, noise_floor))
+    lanes = None  # the lanes still searching, once some have stopped, in the rows of x0, z, ...
     for _ in range(config.max_backtracks):
-        candidate = project_box(spec, z - alpha * g)
-        decrease = float(g @ (z - candidate))
-        try:
-            states = rollout(spec, model, x0, candidate)
-        except FloatingPointError:
-            states = None
-        if states is not None:
-            j_cand = _value(spec, states, candidate)
-            if j_cand <= j_ref - config.armijo_c * decrease or config.armijo_c * decrease <= noise_floor:
-                return candidate, j_cand, states
-        alpha *= config.shrink
-    return None
+        candidate = _project(spec, z - alpha[:, None] * g)
+        decrease = config.armijo_c * _dot(g, z - candidate)
+        trial = _rollout(spec, model, x0, candidate)
+        j_cand = _value(spec, trial, candidate)
+        ok = np.isfinite(trial).all(axis=(1, 2)) & ((j_cand <= j_ref - decrease) | (decrease <= noise_floor))
+        if lanes is None:
+            points, values, states, accepted = candidate, j_cand, trial, ok
+        else:
+            points[lanes], values[lanes], states[lanes], accepted[lanes] = candidate, j_cand, trial, ok
+        if ok.all():
+            break
+        searching = ~ok
+        lanes = np.flatnonzero(searching) if lanes is None else lanes[searching]
+        x0, z, g, j_ref, noise_floor = (v[searching] for v in (x0, z, g, j_ref, noise_floor))
+        alpha = alpha[searching] * config.shrink
+    return points, values, states, accepted
 
 
 def iterate_map(
@@ -297,23 +370,28 @@ def iterate_map(
     next iteration. Returns the updated stacked sequence, the number of
     rejected steps and the rollout of the result (``None`` after a
     fixed-rule step).
+
+    A batch steps every lane with its own line search; the rejected steps are
+    summed over the lanes.
     """
-    z = project_box(spec, z)
+    x0, z, batched = _lanes(spec, model, x0, z)
+    z = _project(spec, z)
     states = None
     rejected = 0
     for _ in range(config.iters_per_sample):
         if states is None:
-            states = rollout(spec, model, x0, z)
+            states = _checked(_rollout(spec, model, x0, z))
         g = _adjoint(spec, model, states, z)
         if config.step_rule == "fixed":
-            z, states = project_box(spec, z - config.alpha0 * g), None
+            z, states = _project(spec, z - config.alpha0 * g), None
             continue
-        step = _armijo_backtrack(spec, model, x0, z, g, _value(spec, states, z), config.alpha0, config)
-        if step is None:
-            rejected += 1
-        else:
-            z, _, states = step
-    return z, rejected, states
+        j = _value(spec, states, z)
+        points, _, trials, ok = _armijo_backtrack(spec, model, x0, z, g, j, config.alpha0, config)
+        z[ok], states[ok] = points[ok], trials[ok]
+        rejected += int(np.count_nonzero(~ok))
+    if batched:
+        return z, rejected, states
+    return z[0], rejected, None if states is None else states[0]
 
 
 def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z) -> OptimizerState:
@@ -323,17 +401,22 @@ def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z) ->
     and records the final projected-gradient norm at the result, from its
     rollout when the line search has taken one.
     """
-    x0 = _as_vector(x0, model.n, "x0")
-    z = _check_z(spec, z)
+    x0, z, batched = _lanes(spec, model, x0, z)
     z, rejected, states = iterate_map(spec, model, config, x0, z)
     if states is None:
-        states = rollout(spec, model, x0, z)
+        states = _checked(_rollout(spec, model, x0, z))
+    pg = _pg_norm(spec, z, _adjoint(spec, model, states, z))
+    return _optimizer_state(batched, z, config.iters_per_sample, pg, True, rejected)
+
+
+def _optimizer_state(batched: bool, z, iterations, pg, converged, rejected) -> OptimizerState:
+    """The result of a solver call, without the batch axis when the call had none."""
     return OptimizerState(
-        z=z,
-        iterations_used=config.iters_per_sample,
-        projected_gradient_norm=_pg_norm(spec, z, _adjoint(spec, model, states, z)),
-        converged=True,
-        rejected_steps=rejected,
+        z=z if batched else z[0],
+        iterations_used=int(iterations),
+        projected_gradient_norm=pg if batched else float(pg[0]),
+        converged=bool(converged),
+        rejected_steps=int(rejected),
     )
 
 
@@ -345,58 +428,72 @@ def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_
     backtracking line search, until the projected-gradient norm drops below
     ``config.optimal_tol`` or the iteration budget is spent. A result that
     misses the tolerance is returned with ``converged=False``, never silently.
+
+    A batch solves every lane with its own step length, value window and
+    stopping rule; a lane that stops leaves the batch while the others
+    iterate. Its result holds one row of ``z`` and one projected-gradient norm
+    per lane; ``iterations_used`` is the iterations the batch ran (its longest
+    lane), ``rejected_steps`` is summed over lanes and ``converged`` holds only
+    if every lane converged.
     """
-    x0 = _as_vector(x0, model.n, "x0")
-    z = project_box(spec, _check_z(spec, z_init))
-    states = rollout(spec, model, x0, z)
+    x0, z, batched = _lanes(spec, model, x0, z_init)
+    z = _project(spec, z)
+    states = _checked(_rollout(spec, model, x0, z))
     g = _adjoint(spec, model, states, z)
-    j = _value(spec, states, z)
-    recent = [j]
+    recent = np.repeat(_value(spec, states, z)[:, None], 10, axis=1)  # each lane's last 10 values
     pg = _pg_norm(spec, z, g)
-    iters = 0
-    rejected = 0
-    alpha = config.alpha0
+    alpha = np.full(len(z), config.alpha0)
     alpha_lo, alpha_hi = 1e-10, 1e10
-    while pg > config.optimal_tol and iters < config.max_optimal_iters:
+    resolution = 64.0 * np.finfo(float).eps
+    z_out, pg_out = np.empty_like(z), np.empty_like(pg)
+    lanes = np.arange(len(z))  # the lanes still iterating, in the rows of the arrays above
+
+    def retire(done: np.ndarray) -> None:
+        """Record the result of the lanes ``done`` and keep the rows of the others."""
+        nonlocal lanes, x0, z, g, pg, alpha, recent
+        z_out[lanes[done]], pg_out[lanes[done]] = z[done], pg[done]
+        keep = ~done
+        lanes, x0, z, g, pg, alpha, recent = (v[keep] for v in (lanes, x0, z, g, pg, alpha, recent))
+
+    iters = rejected = 0
+    while True:
+        done = (pg <= config.optimal_tol) | (iters >= config.max_optimal_iters)
+        if done.any():
+            retire(done)
+        if not lanes.size:
+            break
         iters += 1
-        j_ref = max(recent)
+        j_ref = recent.max(axis=1)
         # Accept on sufficient decrease, or unconditionally once the
         # predicted decrease is below cost-evaluation resolution.
-        noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(j_ref))
-        step = _armijo_backtrack(spec, model, x0, z, g, j_ref, alpha, config, noise_floor)
-        if step is None:
-            rejected += 1
-            break  # no acceptable step: at the numerical floor
-        z_new, j_new, states = step
+        noise_floor = resolution * np.maximum(1.0, np.abs(j_ref))
+        z_new, j_new, states, ok = _armijo_backtrack(spec, model, x0, z, g, j_ref, alpha, config, noise_floor)
+        if not ok.all():  # no acceptable step: those lanes are at the numerical floor
+            rejected += int(np.count_nonzero(~ok))
+            z_new, j_new, states = z_new[ok], j_new[ok], states[ok]
+            retire(~ok)
+            if not lanes.size:
+                break
         g_new = _adjoint(spec, model, states, z_new)
         s = z_new - z
         y = g_new - g
-        sy = float(s @ y)
+        sy = _dot(s, y)
         # BB1 step length for the next iteration, clipped to a sane range.
-        if sy > 0.0:
-            alpha = min(max(float(s @ s) / sy, alpha_lo), alpha_hi)
-        else:
-            alpha = config.alpha0
-        z, g, j = z_new, g_new, j_new
-        recent.append(j)
-        if len(recent) > 10:
-            recent.pop(0)
+        curved = sy > 0.0
+        alpha = np.full(len(z), config.alpha0)
+        alpha[curved] = np.minimum(np.maximum(_dot(s, s)[curved] / sy[curved], alpha_lo), alpha_hi)
+        z, g = z_new, g_new
+        recent[:, (iters - 1) % 10] = j_new
         pg = _pg_norm(spec, z, g)
-    return OptimizerState(
-        z=z,
-        iterations_used=iters,
-        projected_gradient_norm=pg,
-        converged=bool(pg <= config.optimal_tol),
-        rejected_steps=rejected,
-    )
+    return _optimizer_state(batched, z_out, iters, pg_out, np.all(pg_out <= config.optimal_tol), rejected)
 
 
 def first_input(z, m: int) -> np.ndarray:
-    """Extract the first input block of the stacked sequence (the applied control)."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] < m:
-        raise ValueError(f"z must have at least m={m} entries, got {z.shape[0]}")
-    return z[:m].copy()
+    """Extract the first input block of the stacked sequence (the applied control), per row of a batch."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.shape[-1] < m:
+        raise ValueError(f"z must have at least m={m} entries, got {z.shape[-1]}")
+    return z[..., :m].copy()
 
 
 def warm_start_shift(z, m: int) -> np.ndarray:

@@ -98,6 +98,15 @@ class PlantModel:
     ``n, p, m``, the equilibrium pair ``(x_star, u_star)`` and analytic
     Lipschitz constants where closed forms exist. All maps are pure
     functions; a model instance may be shared read-only across threads.
+
+    Every map and Jacobian takes a leading batch shape ``(...)``: ``x`` is an
+    ``(..., n)`` array, ``xi`` ``(..., p)`` and ``u`` ``(..., m)``, all with the
+    same batch shape. ``delta`` is a float; the three maps also take an array
+    of that batch shape. A map returns ``(..., n)`` or ``(..., p)`` rows and a Jacobian
+    ``(..., rows, cols)`` matrices, with the batch shape in full even where an
+    entry is constant; entry ``k`` of a batch equals the call on entry ``k``
+    alone, bit for bit. ``(n,)`` vectors are the empty batch shape. Callers
+    pass every argument positionally.
     """
 
     n: int
@@ -119,17 +128,17 @@ class PlantModel:
     def u_star(self) -> np.ndarray:
         return np.zeros(self.m)
 
-    def target_map(self, x: np.ndarray, xi: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
+    def target_map(self, x: np.ndarray, xi: np.ndarray, u: np.ndarray, delta) -> np.ndarray:
         raise NotImplementedError
 
-    def extra_map(self, xi: np.ndarray, x: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
+    def extra_map(self, xi: np.ndarray, x: np.ndarray, u: np.ndarray, delta) -> np.ndarray:
         raise NotImplementedError
 
     def equilibrium_map(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def target_jacobians(
-        self, x: np.ndarray, xi: np.ndarray, u: np.ndarray, delta: float
+        self, x: np.ndarray, xi: np.ndarray, u: np.ndarray, delta
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Jacobians of the target map: (df/dx, df/dxi, df/du)."""
         raise NotImplementedError
@@ -138,11 +147,11 @@ class PlantModel:
         """Jacobians of the equilibrium map: (dxi_eq/dx, dxi_eq/du)."""
         raise NotImplementedError
 
-    def reduced_map(self, x: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
+    def reduced_map(self, x: np.ndarray, u: np.ndarray, delta) -> np.ndarray:
         """Slow dynamics on the fast equilibrium manifold (by composition)."""
         return self.target_map(x, self.equilibrium_map(x, u), u, delta)
 
-    def reduced_jacobians(self, x: np.ndarray, u: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    def reduced_jacobians(self, x: np.ndarray, u: np.ndarray, delta) -> tuple[np.ndarray, np.ndarray]:
         """Jacobians of the reduced map, composed from f and xi_eq Jacobians."""
         xi = self.equilibrium_map(x, u)
         fx, fxi, fu = self.target_jacobians(x, xi, u, delta)
@@ -175,45 +184,47 @@ class ActuatedPendulum(PlantModel):
 
     def target_map(self, x, xi, u, delta):
         p = self.params
-        theta = float(x[0])
-        omega = float(x[1])
+        theta = x[..., 0]
+        omega = x[..., 1]
         accel = (
             -(p.beta / p.J) * omega
-            - (p.mass * p.grav * p.l / p.J) * math.sin(theta)
-            + (p.K_t / p.J) * float(xi[0])
+            - (p.mass * p.grav * p.l / p.J) * np.sin(theta)
+            + (p.K_t / p.J) * xi[..., 0]
         )
-        return np.array([theta + delta * omega, omega + delta * accel])
+        out = np.empty(np.shape(accel) + (2,))
+        out[..., 0] = theta + delta * omega
+        out[..., 1] = omega + delta * accel
+        return out
 
     def extra_map(self, xi, x, u, delta):
         p = self.params
         value = (
-            (1.0 - p.R_ohm / p.L_tilde) * float(xi[0])
-            - (p.K_e / p.L_tilde) * float(x[1])
-            + float(u[0]) / p.L_tilde
+            (1.0 - p.R_ohm / p.L_tilde) * xi[..., 0]
+            - (p.K_e / p.L_tilde) * x[..., 1]
+            + u[..., 0] / p.L_tilde
         )
-        return np.array([value])
+        return value[..., None]
 
     def equilibrium_map(self, x, u):
         p = self.params
-        return np.array([(-p.K_e * float(x[1]) + float(u[0])) / p.R_ohm])
+        return ((-p.K_e * x[..., 1] + u[..., 0]) / p.R_ohm)[..., None]
 
     def target_jacobians(self, x, xi, u, delta):
         p = self.params
-        fx = np.array(
-            [
-                [1.0, delta],
-                [-delta * (p.mass * p.grav * p.l / p.J) * math.cos(float(x[0])), 1.0 - delta * p.beta / p.J],
-            ]
-        )
-        fxi = np.array([[0.0], [delta * p.K_t / p.J]])
-        fu = np.zeros((2, 1))
-        return fx, fxi, fu
+        fx = np.empty(x.shape[:-1] + (2, 2))
+        fx[..., 0, 0] = 1.0
+        fx[..., 0, 1] = delta
+        fx[..., 1, 0] = -delta * (p.mass * p.grav * p.l / p.J) * np.cos(x[..., 0])
+        fx[..., 1, 1] = 1.0 - delta * p.beta / p.J
+        fxi = np.zeros(x.shape[:-1] + (2, 1))
+        fxi[..., 1, 0] = delta * p.K_t / p.J
+        return fx, fxi, np.zeros(x.shape[:-1] + (2, 1))
 
     def equilibrium_jacobians(self, x, u):
         p = self.params
-        ex = np.array([[0.0, -p.K_e / p.R_ohm]])
-        eu = np.array([[1.0 / p.R_ohm]])
-        return ex, eu
+        ex = np.zeros(x.shape[:-1] + (1, 2))
+        ex[..., 0, 1] = -p.K_e / p.R_ohm
+        return ex, np.full(x.shape[:-1] + (1, 1), 1.0 / p.R_ohm)
 
 
 class LinearTwoTimescale(PlantModel):
@@ -259,26 +270,26 @@ class LinearTwoTimescale(PlantModel):
         self.lip_equilibrium = max(abs(self.s_fast), abs(self.e_fast)) / (1.0 - self.rho)
 
     def target_map(self, x, xi, u, delta):
-        return np.array(
-            [float(x[0]) + delta * (self.a_slow * float(x[0]) + self.b_slow * float(xi[0]) + self.c_slow * float(u[0]))]
-        )
+        delta = np.asarray(delta)[..., None]
+        return x + delta * (self.a_slow * x + self.b_slow * xi + self.c_slow * u)
 
     def extra_map(self, xi, x, u, delta):
-        return np.array([self.rho * float(xi[0]) + self.s_fast * float(x[0]) + self.e_fast * float(u[0])])
+        return self.rho * xi + self.s_fast * x + self.e_fast * u
 
     def equilibrium_map(self, x, u):
-        return np.array([(self.s_fast * float(x[0]) + self.e_fast * float(u[0])) / (1.0 - self.rho)])
+        return (self.s_fast * x + self.e_fast * u) / (1.0 - self.rho)
 
     def target_jacobians(self, x, xi, u, delta):
-        fx = np.array([[1.0 + delta * self.a_slow]])
-        fxi = np.array([[delta * self.b_slow]])
-        fu = np.array([[delta * self.c_slow]])
-        return fx, fxi, fu
+        shape = x.shape[:-1] + (1, 1)
+        return (
+            np.full(shape, 1.0 + delta * self.a_slow),
+            np.full(shape, delta * self.b_slow),
+            np.full(shape, delta * self.c_slow),
+        )
 
     def equilibrium_jacobians(self, x, u):
-        ex = np.array([[self.s_fast / (1.0 - self.rho)]])
-        eu = np.array([[self.e_fast / (1.0 - self.rho)]])
-        return ex, eu
+        shape = x.shape[:-1] + (1, 1)
+        return np.full(shape, self.s_fast / (1.0 - self.rho)), np.full(shape, self.e_fast / (1.0 - self.rho))
 
 
 def step_target(model: PlantModel, x, xi, u, delta: float) -> np.ndarray:

@@ -107,6 +107,17 @@ class RateFit:
     samples_used: int
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm, finite for every finite vector whose norm is representable.
+
+    ``np.linalg.norm`` sums squares, which overflow for entries beyond about
+    1e154; only then is the norm taken again by ``math.hypot``, which scales.
+    """
+    with np.errstate(over="ignore"):
+        value = float(np.linalg.norm(v))
+    return math.hypot(*v) if math.isinf(value) else value
+
+
 @dataclass
 class SimTrace:
     """Per-step closed-loop record plus terminal summary."""
@@ -131,7 +142,7 @@ class SimTrace:
 
     @property
     def final_err_norm(self) -> float:
-        return float(np.linalg.norm(self.final_x - self.x_star))
+        return _norm(self.final_x - self.x_star)
 
     @property
     def final_err_theta(self) -> float:
@@ -187,7 +198,7 @@ def simulate(model: PlantModel, spec: OcpSpec, solver_config: SolverConfig, sim_
         err = x - x_star
         cols["time_s"][t] = t * delta
         with np.errstate(over="ignore", invalid="ignore"):
-            cols["err_norm"][t] = float(np.linalg.norm(err))
+            cols["err_norm"][t] = _norm(err)
             cols["err_theta"][t] = float(abs(err[0]))
             cols["stage_cost"][t] = float(err @ Q @ err) + float(u @ Rw @ u)
             if strategy.plant_kind == "full_order":

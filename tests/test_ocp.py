@@ -72,6 +72,12 @@ class TestSpecValidation:
             )
 
 
+class TestSolverConfigValidation:
+    def test_line_search_needs_a_trial(self):
+        with pytest.raises(ValueError, match="max_backtracks"):
+            SolverConfig(max_backtracks=0)
+
+
 class TestRollout:
     def test_equilibrium(self):
         spec = make_ocp_spec(0.01, horizon_N=7)
@@ -386,7 +392,9 @@ class CountingPendulum(ActuatedPendulum):
 
 
 class TestEvaluationCounts:
-    """Each evaluated point is rolled out once; an accepted trial's rollout is reused."""
+    """Each evaluated point is rolled out once (N reduced_map calls) and an accepted
+    trial's rollout is reused; each gradient takes one reduced_jacobians call for
+    the whole horizon, and a batch makes the calls of one lane."""
 
     SPEC = make_ocp_spec(0.01)  # N = 50
     X0 = [0.3, -0.2]
@@ -396,13 +404,20 @@ class TestEvaluationCounts:
         out = solver_map(self.SPEC, model, CFG, self.X0, np.zeros(50))
         assert out.rejected_steps == 0
         # gradient rollout + accepted first trial; adjoint at z + diagnostic adjoint
-        assert (model.maps, model.jacobians) == (100, 100)
+        assert (model.maps, model.jacobians) == (100, 2)
 
     def test_iterate_map(self):
         model = CountingPendulum()
         _, rejected, _ = iterate_map(self.SPEC, model, CFG, self.X0, np.zeros(50))
         assert rejected == 0
-        assert (model.maps, model.jacobians) == (100, 50)
+        assert (model.maps, model.jacobians) == (100, 1)
+
+    def test_batch_makes_the_calls_of_one_lane(self):
+        model = CountingPendulum()
+        x0 = [self.X0, [-0.5, 0.1], [0.8, 0.4]]
+        _, rejected, _ = iterate_map(self.SPEC, model, CFG, x0, np.zeros((3, 50)))
+        assert rejected == 0
+        assert (model.maps, model.jacobians) == (100, 1)
 
 
 def reference_armijo(spec, model, x0, z, g, j_ref, alpha, config, noise_floor=-np.inf):
@@ -526,3 +541,88 @@ class TestReferenceLoop:
                 self.assert_same(
                     solve_optimal(spec, model, config, x0, z), reference_solve_optimal(spec, model, config, x0, z)
                 )
+
+
+def loop_rollout(spec, model, x0, z):
+    """Per-step reference: the plant called on (n,) vectors."""
+    states = [np.asarray(x0, dtype=float)]
+    for u in np.reshape(z, (spec.horizon_N, spec.m)):
+        states.append(model.reduced_map(states[-1], u, spec.delta))
+    return np.array(states)
+
+
+def loop_cost(spec, model, x0, z):
+    states, inputs = loop_rollout(spec, model, x0, z), np.reshape(z, (spec.horizon_N, spec.m))
+    Q, Rw, Qf = spec.state_weight, spec.input_weight, spec.terminal_weight
+    return sum(x @ Q @ x + u @ Rw @ u for x, u in zip(states, inputs)) + states[-1] @ Qf @ states[-1]
+
+
+def loop_gradient(spec, model, x0, z):
+    states, inputs = loop_rollout(spec, model, x0, z), np.reshape(z, (spec.horizon_N, spec.m))
+    grad = np.empty_like(inputs)
+    lam = 2.0 * spec.terminal_weight @ states[-1]
+    for tau in range(spec.horizon_N - 1, -1, -1):
+        jac_x, jac_u = model.reduced_jacobians(states[tau], inputs[tau], spec.delta)
+        grad[tau] = 2.0 * spec.input_weight @ inputs[tau] + jac_u.T @ lam
+        lam = 2.0 * spec.state_weight @ states[tau] + jac_x.T @ lam
+    return grad.reshape(-1)
+
+
+class TestBatchAxis:
+    """Lane k of a B-batch equals its B = 1 call bit for bit, and the batched
+    kernels match the per-step loops above to 1e-12 relative."""
+
+    LANES = 4
+
+    @classmethod
+    def batch(cls, case, seed=18):
+        spec, model, n, u_max = REFERENCE_CASES[case]
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-1, 1, (cls.LANES, n))
+        return spec, model, x0, rng.uniform(-1.5 * u_max, 1.5 * u_max, (cls.LANES, spec.horizon_N))
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_kernels(self, case):
+        spec, model, x0, z = self.batch(case)
+        batched = {fn: fn(spec, model, x0, z) for fn in (rollout, cost, gradient)}
+        for fn, loop in ((rollout, loop_rollout), (cost, loop_cost), (gradient, loop_gradient)):
+            assert np.shape(batched[fn]) == (self.LANES,) + np.shape(fn(spec, model, x0[0], z[0]))
+            for k in range(self.LANES):
+                assert np.array_equal(batched[fn][k], fn(spec, model, x0[k], z[k]))
+                ref = loop(spec, model, x0[k], z[k])
+                assert np.max(np.abs(batched[fn][k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("rule", sorted(TestReferenceLoop.STEPS))
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_fixed_budget(self, case, rule, iters):
+        spec, model, x0, z = self.batch(case)
+        config = SolverConfig(iters_per_sample=iters, **TestReferenceLoop.STEPS[rule])
+        z_next, rejected, states = iterate_map(spec, model, config, x0, z)
+        state = solver_map(spec, model, config, x0, z)
+        lone_rejected = 0
+        for k in range(self.LANES):
+            lone_z, lone_rejected_k, lone_states = iterate_map(spec, model, config, x0[k], z[k])
+            lone_rejected += lone_rejected_k
+            assert np.array_equal(z_next[k], lone_z)
+            assert (states is None and lone_states is None) or np.array_equal(states[k], lone_states)
+            lone = solver_map(spec, model, config, x0[k], z[k])
+            assert np.array_equal(state.z[k], lone.z)
+            assert np.array_equal(state.projected_gradient_norm[k], lone.projected_gradient_norm)
+        assert rejected == state.rejected_steps == lone_rejected
+
+    def test_solve_optimal_mixed_batch(self):
+        # lanes that reach tolerance, stop at a rejected step, or run out of budget
+        spec, config = make_ocp_spec(0.1), SolverConfig(max_backtracks=2, max_optimal_iters=40)
+        rng = np.random.default_rng(16)
+        x0, z = rng.uniform(-1, 1, (12, 2)), rng.uniform(-36, 36, (12, 5))
+        state = solve_optimal(spec, PEND, config, x0, z)
+        lone = [solve_optimal(spec, PEND, config, x0[k], z[k]) for k in range(12)]
+        outcomes = {"tolerance" if s.converged else "rejected" if s.rejected_steps else "budget" for s in lone}
+        assert outcomes == {"tolerance", "rejected", "budget"}
+        for k, s in enumerate(lone):
+            assert np.array_equal(state.z[k], s.z)
+            assert np.array_equal(state.projected_gradient_norm[k], s.projected_gradient_norm)
+        assert state.iterations_used == max(s.iterations_used for s in lone) == config.max_optimal_iters
+        assert state.rejected_steps == sum(s.rejected_steps for s in lone)
+        assert state.converged is False

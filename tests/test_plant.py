@@ -199,3 +199,44 @@ class TestLinearModel:
         assert PEND.lip_target_fast == pytest.approx(0.8)
         assert PEND.lip_extra == pytest.approx(1.0)
         assert PEND.lip_equilibrium == pytest.approx(1.0 / 0.6)
+
+
+class TestBatchAxis:
+    """Entry k of a batched plant call equals the call on entry k alone, bit for bit."""
+
+    MODELS = {"pendulum": PEND, "linear": LinearTwoTimescale()}
+    DELTA = 0.05
+
+    CALLS = {
+        "target_map": lambda model, x, xi, u, d: model.target_map(x, xi, u, d),
+        "extra_map": lambda model, x, xi, u, d: model.extra_map(xi, x, u, d),
+        "equilibrium_map": lambda model, x, xi, u, d: model.equilibrium_map(x, u),
+        "reduced_map": lambda model, x, xi, u, d: model.reduced_map(x, u, d),
+        "target_jacobians": lambda model, x, xi, u, d: model.target_jacobians(x, xi, u, d),
+        "equilibrium_jacobians": lambda model, x, xi, u, d: model.equilibrium_jacobians(x, u),
+        "reduced_jacobians": lambda model, x, xi, u, d: model.reduced_jacobians(x, u, d),
+    }
+    MAPS = ("target_map", "extra_map", "equilibrium_map", "reduced_map")
+
+    @staticmethod
+    def inputs(model, shape):
+        rng = np.random.default_rng(17)
+        x = rng.uniform(-3.0, 3.0, shape + (model.n,))
+        xi = rng.uniform(-20.0, 20.0, shape + (model.p,))
+        u = rng.uniform(-24.0, 24.0, shape + (model.m,))
+        return x, xi, u, rng.uniform(1e-3, 0.2, shape)
+
+    @pytest.mark.parametrize("model_name", sorted(MODELS))
+    @pytest.mark.parametrize("method", sorted(CALLS))
+    @pytest.mark.parametrize("shape", [(5,), (2, 3)], ids=["B5", "B2x3"])
+    def test_entry_equals_lone_call(self, model_name, method, shape):
+        model, call = self.MODELS[model_name], self.CALLS[method]
+        x, xi, u, deltas = self.inputs(model, shape)
+        # a float delta for every method; the maps also take one delta per entry
+        for delta in [self.DELTA] + ([deltas] if method in self.MAPS else []):
+            batched = call(model, x, xi, u, delta)
+            for k in np.ndindex(shape):
+                lone = call(model, x[k], xi[k], u[k], self.DELTA if delta is self.DELTA else float(delta[k]))
+                for out, ref in zip(*((batched, lone) if method.endswith("jacobians") else ([batched], [lone]))):
+                    assert out.shape == shape + ref.shape
+                    assert np.array_equal(out[k], ref)
