@@ -102,11 +102,11 @@ class PlantModel:
     Every map and Jacobian takes a leading batch shape ``(...)``: ``x`` is an
     ``(..., n)`` array, ``xi`` ``(..., p)`` and ``u`` ``(..., m)``, all with the
     same batch shape. ``delta`` is a float; the three maps also take an array
-    of that batch shape. A map returns ``(..., n)`` or ``(..., p)`` rows and a Jacobian
-    ``(..., rows, cols)`` matrices, with the batch shape in full even where an
-    entry is constant; entry ``k`` of a batch equals the call on entry ``k``
-    alone, bit for bit. ``(n,)`` vectors are the empty batch shape. Callers
-    pass every argument positionally.
+    of that batch shape. A map returns ``(..., n)`` or ``(..., p)`` rows and a
+    Jacobian ``(..., rows, cols)`` matrices, with the batch shape in full even
+    where an entry is constant; entry ``k`` of a batch equals the call on
+    entry ``k`` alone, bit for bit. ``(n,)`` vectors are the empty batch shape.
+    Callers pass every argument positionally.
     """
 
     n: int

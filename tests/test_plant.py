@@ -232,11 +232,18 @@ class TestBatchAxis:
     def test_entry_equals_lone_call(self, model_name, method, shape):
         model, call = self.MODELS[model_name], self.CALLS[method]
         x, xi, u, deltas = self.inputs(model, shape)
+
+        def outputs(*args):
+            result = call(model, *args)
+            return result if isinstance(result, tuple) else (result,)
+
         # a float delta for every method; the maps also take one delta per entry
-        for delta in [self.DELTA] + ([deltas] if method in self.MAPS else []):
-            batched = call(model, x, xi, u, delta)
+        cases = [(self.DELTA, lambda k: self.DELTA)]
+        if method in self.MAPS:
+            cases.append((deltas, lambda k: float(deltas[k])))
+        for delta, lone_delta in cases:
+            batched = outputs(x, xi, u, delta)
             for k in np.ndindex(shape):
-                lone = call(model, x[k], xi[k], u[k], self.DELTA if delta is self.DELTA else float(delta[k]))
-                for out, ref in zip(*((batched, lone) if method.endswith("jacobians") else ([batched], [lone]))):
+                for out, ref in zip(batched, outputs(x[k], xi[k], u[k], lone_delta(k))):
                     assert out.shape == shape + ref.shape
                     assert np.array_equal(out[k], ref)
