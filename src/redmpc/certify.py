@@ -751,9 +751,10 @@ class CertificateReport:
 # Certification stages, run in order by full_certificate. Each takes its inputs
 # explicitly and returns ``(result, verdicts)``. ``model``, ``spec``,
 # ``solver_config`` and ``plan`` are full_certificate's arguments; ``rng`` is the
-# main sample stream, drawn from by the sampling stages in turn; ``states`` and
-# ``zstars`` are the sampled slow states and their minimizers; ``constants``
-# maps names to the ``Estimate``s found so far.
+# main sample stream, drawn from by the plant stages and then, for every later
+# stage, by ``_minimizer_solves``; ``states`` and ``zstars`` are the sampled slow
+# states and their minimizers; ``constants`` maps names to the ``Estimate``s
+# found so far.
 
 
 def _equilibrium_identity(model, plan, rng):
@@ -819,21 +820,52 @@ def _fast_bounds(model, plan, rng, delta):
 
 
 def _minimizer_solves(model, spec, solver_config, plan, rng):
-    """Sampled slow states and their minimizers solved to tolerance, shared by the later fast stages."""
-    states = _ball_samples(rng, model.n, plan.n_states, plan.state_ball)
-    sol = solve_optimal(spec, model, solver_config, states, np.zeros((len(states), spec.horizon_N * model.m)))
-    verdicts = []
-    if not sol.converged:
-        verdicts.append(Verdict("minimizer-solves", False, "solve-to-tolerance failed at a sampled state"))
-    return (states, sol.z), verdicts
+    """Every sample the later stages take from the main stream, and one batched cold solve at them.
 
-
-def _optimizer_bounds(model, spec, solver_config, plan, rng, states, zstars):
-    """b-constants: quadratic bounds of the optimizer error ||z - z*(x)||^2, frozen state per pair."""
-    nz, pairs = spec.horizon_N * model.m, plan.optimizer_pairs_per_state
-    errors = np.concatenate(
+    Draws, in stream order, the slow states, the optimizer-bound errors, the
+    map-pair errors, the multistart starts and the value-function states. The
+    slow and value states start from zeros and the multistart lanes from their
+    random starts; each lane equals its lone solve, so every stage sees what
+    its own solve would give. Returns the slow states and their minimizers,
+    the optimizer-bound errors, the map-pair errors (dz_a, dz_b, dxi_a, dxi_b
+    per pair), the multistart solves per probed state, and the value states
+    with their minimizers and projected-gradient norms.
+    """
+    n, p, nz = model.n, model.p, spec.horizon_N * model.m
+    states = _ball_samples(rng, n, plan.n_states, plan.state_ball)
+    pairs = plan.optimizer_pairs_per_state
+    optimizer_errors = np.concatenate(
         [_ball_samples(rng, nz, pairs, plan.error_ball, plan.error_min_norm) for _ in states]
     )
+
+    def error(dim: int, min_norm: float = 0.0) -> np.ndarray:
+        return _ball_samples(rng, dim, 1, plan.error_ball, min_norm)[0]
+
+    # per pair, in stream order: the two optimizer errors, then the two extra-state errors
+    map_count = len(states) * max(1, plan.map_pairs // len(states))
+    draws = [(error(nz, 1e-6), error(nz, 1e-6), error(p), error(p)) for _ in range(map_count)]
+    map_errors = tuple(np.array(side) for side in zip(*draws))
+    box_lo, box_hi = np.tile(spec.input_box[0], spec.horizon_N), np.tile(spec.input_box[1], spec.horizon_N)
+    probed, starts = min(plan.multistart_states, len(states)), plan.multistart_points - 1
+    z_starts = _uniform_stream(rng, box_lo, box_hi, probed * starts)
+    value_states = _ball_samples(rng, n, plan.n_value_states, plan.state_ball, plan.state_ball * 0.02)
+
+    x0 = np.concatenate([states, np.repeat(states[:probed], starts, axis=0), value_states])
+    z0 = np.concatenate([np.zeros((len(states), nz)), z_starts, np.zeros((len(value_states), nz))])
+    sol = solve_optimal(spec, model, solver_config, x0, z0)
+    cuts = [len(states), len(states) + len(z_starts)]
+    zstars, finals, value_zstars = np.split(sol.z, cuts)
+    pg, _, value_pg = np.split(sol.projected_gradient_norm, cuts)
+    verdicts = []
+    if not np.all(pg <= solver_config.optimal_tol):
+        verdicts.append(Verdict("minimizer-solves", False, "solve-to-tolerance failed at a sampled state"))
+    finals = finals.reshape(probed, starts, nz)
+    return (states, zstars, optimizer_errors, map_errors, finals, (value_states, value_zstars, value_pg)), verdicts
+
+
+def _optimizer_bounds(model, spec, solver_config, states, zstars, errors):
+    """b-constants: quadratic bounds of the optimizer error ||z - z*(x)||^2, frozen state per pair."""
+    pairs = len(errors) // len(states)
     zstar = np.repeat(zstars, pairs, axis=0)
     z_next, _, _ = iterate_map(spec, model, solver_config, np.repeat(states, pairs, axis=0), zstar + errors)
     stepped = z_next - zstar
@@ -842,18 +874,11 @@ def _optimizer_bounds(model, spec, solver_config, plan, rng, states, zstars):
     return bounds, [Verdict("optimizer-decrease", bounds.ok, detail)]
 
 
-def _map_lipschitz(model, spec, solver_config, plan, rng, states, zstars):
+def _map_lipschitz(model, spec, solver_config, states, zstars, map_errors):
     """Sampled Lipschitz constants of the iteration map (lip_T) and the stacked fast map (lip_G)."""
-    p, m, delta = model.p, model.m, spec.delta
-    nz = spec.horizon_N * m
-    per_state = max(1, plan.map_pairs // max(1, len(states)))
-
-    def error(dim: int, min_norm: float = 0.0) -> np.ndarray:
-        return _ball_samples(rng, dim, 1, plan.error_ball, min_norm)[0]
-
-    # per pair, in stream order: the two optimizer errors, then the two extra-state errors
-    draws = [(error(nz, 1e-6), error(nz, 1e-6), error(p), error(p)) for _ in range(len(states) * per_state)]
-    dza, dzb, dxia, dxib = (np.array(side) for side in zip(*draws))
+    m, delta = model.m, spec.delta
+    dza, dzb, dxia, dxib = map_errors
+    per_state = len(dza) // len(states)
     x, zstar = np.repeat(states, per_state, axis=0), np.repeat(zstars, per_state, axis=0)
     za, zb = zstar + dza, zstar + dzb
     t, _, _ = iterate_map(spec, model, solver_config, np.concatenate([x, x]), np.concatenate([za, zb]))
@@ -872,20 +897,20 @@ def _map_lipschitz(model, spec, solver_config, plan, rng, states, zstars):
     gdiffs = np.sqrt(np.float_power(_norms(ga - gb), 2) + np.float_power(steps, 2))
     far = wgaps > 1e-12
     lip_G = float(np.max(gdiffs[far] / wgaps[far], initial=0.0))
-    return {"lip_T": Estimate(lip_T, SAMPLED, plan.map_pairs), "lip_G": Estimate(lip_G, SAMPLED, plan.map_pairs)}, []
+    return {"lip_T": Estimate(lip_T, SAMPLED, len(x)), "lip_G": Estimate(lip_G, SAMPLED, len(x))}, []
 
 
-def _multistart(model, spec, solver_config, plan, rng, states, zstars):
-    """Uniqueness probe: solves from random starts in the input box must meet the minimizer."""
-    box_lo, box_hi = np.tile(spec.input_box[0], spec.horizon_N), np.tile(spec.input_box[1], spec.horizon_N)
-    probed, starts = len(states[: plan.multistart_states]), plan.multistart_points - 1
-    z0 = _uniform_stream(rng, box_lo, box_hi, probed * starts)
-    finals = solve_optimal(spec, model, solver_config, np.repeat(states[:probed], starts, axis=0), z0).z
+def _multistart(zstars, finals):
+    """Uniqueness probe: solves from random starts in the input box must meet the minimizer.
+
+    ``finals`` holds, per probed state (the first rows of ``zstars``), its solves from the starts.
+    """
     # per probed state: its minimizer, then its solves from the random starts
-    finals = np.concatenate([zstars[:probed, None], finals.reshape(probed, starts, -1)], axis=1)
-    i, j = np.triu_indices(plan.multistart_points, 1)
+    finals = np.concatenate([zstars[: len(finals), None], finals], axis=1)
+    probed, points = finals.shape[:2]
+    i, j = np.triu_indices(points, 1)
     spread = float(np.max(_norms(finals[:, i] - finals[:, j]), initial=0.0))
-    detail = f"multistart spread {spread:.3e} over {plan.multistart_states} states x {plan.multistart_points} starts"
+    detail = f"multistart spread {spread:.3e} over {probed} states x {points} starts"
     return spread, [Verdict("minimizer-uniqueness", spread <= 1e-4, detail)]
 
 
@@ -924,19 +949,20 @@ def _boundary_layer(model, spec, solver_config, plan, constants, fast_bounds, op
     return (rule, boundary), [Verdict("boundary-layer-decrease", boundary.passed, detail)]
 
 
-def _reduced_value(model, spec, solver_config, plan, rng):
-    """c-constants of the reduced value function, the minimizer-map constant and the slow-drift ratio."""
+def _reduced_value(model, spec, solver_config, states, zstars, pg):
+    """c-constants of the reduced value function, the minimizer-map constant and the slow-drift ratio.
+
+    ``zstars`` are the cold-started minimizers at ``states`` and ``pg`` their
+    projected-gradient norms; the minimizers at the successors are
+    warm-started from them.
+    """
     delta, x_star, m = spec.delta, model.x_star, model.m
-    count = plan.n_value_states
-    states = _ball_samples(rng, model.n, count, plan.state_ball, plan.state_ball * 0.02)
-    # minimizers cold-started at the states, then warm-started from them at their successors
-    sol = solve_optimal(spec, model, solver_config, states, np.zeros((count, spec.horizon_N * m)))
-    zstars = sol.z
+    count = len(states)
     values = cost(spec, model, states, zstars)
     x_next = model.reduced_map(states, first_input(zstars, m), delta)
     sol_next = solve_optimal(spec, model, solver_config, x_next, zstars)
     values_next = cost(spec, model, x_next, sol_next.z)
-    solves_ok = sol.converged and sol_next.converged
+    solves_ok = np.all(pg <= solver_config.optimal_tol) and sol_next.converged
     errs = _norms(states - x_star)
     with np.errstate(divide="ignore", invalid="ignore"):
         drift = np.where(errs > 0, _norms(x_next - states) / (delta * errs), 0.0)
@@ -1007,7 +1033,8 @@ def full_certificate(
     """Run the whole certification chain and report every constant and verdict.
 
     The stages run in order: equilibrium identity, plant Lipschitz constants,
-    fast bounds (a), minimizer solves, optimizer bounds (b), map Lipschitz
+    fast bounds (a), minimizer solves (the draw of every later sample from the
+    main stream, and one batched cold solve), optimizer bounds (b), map Lipschitz
     constants, multistart, composite weight + boundary layer (d), reduced
     value (c), interconnection + timescale bisection, and (optionally) the
     sampled closed-loop decrease at half the certified bound. Every verdict
@@ -1025,11 +1052,13 @@ def full_certificate(
     run(_equilibrium_identity, model, plan, rng)
     report.constants.update(run(_plant_lipschitz, model, plan, rng, spec.delta))
     report.fast_bounds = run(_fast_bounds, model, plan, rng, spec.delta)
-    states, zstars = run(_minimizer_solves, model, spec, solver_config, plan, rng)
-    at_states = (model, spec, solver_config, plan, rng, states, zstars)
-    report.optimizer_bounds = run(_optimizer_bounds, *at_states)
-    report.constants.update(run(_map_lipschitz, *at_states))
-    report.multistart_spread = run(_multistart, *at_states)
+    states, zstars, optimizer_errors, map_errors, finals, at_values = run(
+        _minimizer_solves, model, spec, solver_config, plan, rng
+    )
+    at_states = (model, spec, solver_config, states, zstars)
+    report.optimizer_bounds = run(_optimizer_bounds, *at_states, optimizer_errors)
+    report.constants.update(run(_map_lipschitz, *at_states, map_errors))
+    report.multistart_spread = run(_multistart, zstars, finals)
     weighted = run(
         _boundary_layer,
         model, spec, solver_config, plan, report.constants, report.fast_bounds, report.optimizer_bounds, states, zstars,
@@ -1038,7 +1067,7 @@ def full_certificate(
         report.delta_bar_reason = report.verdicts[-1].detail
         return report
     report.kappa, report.boundary = weighted
-    report.reduced_bounds, reduced_constants = run(_reduced_value, model, spec, solver_config, plan, rng)
+    report.reduced_bounds, reduced_constants = run(_reduced_value, model, spec, solver_config, *at_values)
     report.constants.update(reduced_constants)
     coupling_constants, report.interconnection, search = run(
         _interconnection, plan, report.constants, report.reduced_bounds, report.kappa.kappa, report.boundary.d3

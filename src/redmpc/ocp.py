@@ -497,8 +497,8 @@ def first_input(z, m: int) -> np.ndarray:
 
 
 def warm_start_shift(z, m: int) -> np.ndarray:
-    """Receding-horizon shift: drop the first block, repeat the last block."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] % m != 0 or z.shape[0] < m:
-        raise ValueError(f"z length {z.shape[0]} is not a positive multiple of m={m}")
-    return np.concatenate([z[m:], z[-m:]])
+    """Receding-horizon shift: drop the first block, repeat the last block, per row of a batch."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.shape[-1] % m != 0 or z.shape[-1] < m:
+        raise ValueError(f"z length {z.shape[-1]} is not a positive multiple of m={m}")
+    return np.concatenate([z[..., m:], z[..., -m:]], axis=-1)

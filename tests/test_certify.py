@@ -1,11 +1,14 @@
+import dataclasses
 import math
 import warnings
+
+import redmpc.certify as certify_module
 
 import numpy as np
 import pytest
 
 from redmpc.plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams
-from redmpc.ocp import OcpSpec, SolverConfig, make_ocp_spec, solve_optimal
+from redmpc.ocp import OcpSpec, OptimizerState, SolverConfig, iterate_map, make_ocp_spec, solve_optimal
 from redmpc.certify import (
     CertificationError,
     InterconnectionConstants,
@@ -46,6 +49,43 @@ def linear_spec(horizon=5, delta=0.01):
         input_box=(np.array([-10.0]), np.array([10.0])),
         delta=delta,
     )
+
+
+# the reduced plan of the benchmark's certify workload
+BENCH_PLAN = SamplingPlan(
+    lipschitz_pairs=200,
+    equilibrium_samples=500,
+    fast_samples=200,
+    n_states=4,
+    optimizer_pairs_per_state=10,
+    boundary_samples=40,
+    n_value_states=12,
+    map_pairs=8,
+    closed_loop_samples=12,
+    multistart_states=1,
+    multistart_points=2,
+)
+
+
+def contraction_boundary_case():
+    """A pendulum with no fast contraction, whose certificate stops at the composite weight."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bad = ActuatedPendulum(PendulumParams(L_tilde=0.3))  # 1 - R/Lt = -1: no contraction
+    plan = SamplingPlan(
+        equilibrium_samples=500,
+        fast_samples=300,
+        lipschitz_pairs=200,
+        n_states=3,
+        optimizer_pairs_per_state=8,
+        boundary_samples=100,
+        n_value_states=12,
+        map_pairs=10,
+        closed_loop_samples=20,
+        multistart_states=1,
+        multistart_points=2,
+    )
+    return bad, make_ocp_spec(0.01, horizon_N=10), CFG, plan
 
 
 class TestEstimateLipschitz:
@@ -413,23 +453,7 @@ class TestFullCertificate:
         assert rep.reduced_bounds.lower == pytest.approx(rep.reduced_bounds.upper, rel=1e-6)
 
     def test_pendulum_at_contraction_boundary_fails(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            bad = ActuatedPendulum(PendulumParams(L_tilde=0.3))  # 1 - R/Lt = -1: no contraction
-        plan = SamplingPlan(
-            equilibrium_samples=500,
-            fast_samples=300,
-            lipschitz_pairs=200,
-            n_states=3,
-            optimizer_pairs_per_state=8,
-            boundary_samples=100,
-            n_value_states=12,
-            map_pairs=10,
-            closed_loop_samples=20,
-            multistart_states=1,
-            multistart_points=2,
-        )
-        rep = full_certificate(bad, make_ocp_spec(0.01, horizon_N=10), CFG, plan)
+        rep = full_certificate(*contraction_boundary_case())
         assert not rep.overall_pass
         fast = {v.name: v for v in rep.verdicts}["fast-error-decrease"]
         assert not fast.passed
@@ -477,3 +501,103 @@ class TestClosedLoopDecrease:
         res = closed_loop_decrease_check(lin, spec, SolverConfig(iters_per_sample=40), kappa=4.0, delta=0.002, plan=plan)
         assert res.passed
         assert res.worst_margin > 0.0
+
+
+def starved_linear_case():
+    plan = SamplingPlan(
+        equilibrium_samples=300, fast_samples=200, lipschitz_pairs=100, n_states=4, optimizer_pairs_per_state=5,
+        boundary_samples=40, n_value_states=12, map_pairs=8, closed_loop_samples=10, multistart_states=2,
+        multistart_points=3, u_range=(-10.0, 10.0), xi_range=(-10.0, 10.0),
+    )
+    return LinearTwoTimescale(), linear_spec(), SolverConfig(iters_per_sample=40, max_optimal_iters=3), plan
+
+
+CASES = {
+    "benchmark-plan": lambda: (PEND, make_ocp_spec(0.01), CFG, BENCH_PLAN),
+    "early-exit": contraction_boundary_case,
+    "budget-starved": starved_linear_case,
+    # enough iterations for the minimizer lanes, too few for some value lane
+    "value-lanes-starved": lambda: (PEND, make_ocp_spec(0.01), SolverConfig(max_optimal_iters=50), BENCH_PLAN),
+}
+
+
+def lone_solve_optimal(spec, model, config, x0, z_init):
+    """``solve_optimal`` with a batch split into lone calls, reassembled as the batched result."""
+    if np.ndim(z_init) == 1:
+        return solve_optimal(spec, model, config, x0, z_init)
+    lone = [solve_optimal(spec, model, config, x, z) for x, z in zip(x0, z_init)]
+    pg = np.array([s.projected_gradient_norm for s in lone])
+    return OptimizerState(
+        z=np.array([s.z for s in lone]),
+        iterations_used=max(s.iterations_used for s in lone),
+        projected_gradient_norm=pg,
+        converged=bool(np.all(pg <= config.optimal_tol)),
+        rejected_steps=sum(s.rejected_steps for s in lone),
+    )
+
+
+def lone_iterate_map(spec, model, config, x0, z):
+    """``iterate_map`` with a batch split into lone calls."""
+    if np.ndim(z) == 1:
+        return iterate_map(spec, model, config, x0, z)
+    lone = [iterate_map(spec, model, config, x, zk) for x, zk in zip(x0, z)]
+    states = None if lone[0][2] is None else np.array([s for _, _, s in lone])
+    return np.array([zk for zk, _, _ in lone]), sum(r for _, r, _ in lone), states
+
+
+class TestOneColdSolve:
+    """The certificate's batched solves give the certificate of lone solves, and
+    every cold-started minimizer at the certified delta comes from one call."""
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_lone_calls_give_the_same_certificate(self, case, monkeypatch):
+        args = CASES[case]()
+        batched = full_certificate(*args)
+        monkeypatch.setattr(certify_module, "solve_optimal", lone_solve_optimal)
+        monkeypatch.setattr(certify_module, "iterate_map", lone_iterate_map)
+        lone = full_certificate(*args)
+        assert lone.to_json() == batched.to_json()
+        assert lone.to_text() == batched.to_text()
+        failed = {v.name for v in batched.verdicts if not v.passed}
+        # each solve verdict reads the lanes of its own stage
+        solve_verdicts = failed & {"minimizer-solves", "reduced-value-solves"}
+        if case == "budget-starved":
+            assert solve_verdicts == {"minimizer-solves", "reduced-value-solves"}
+        if case == "value-lanes-starved":
+            assert solve_verdicts == {"reduced-value-solves"}
+        if case == "early-exit":
+            assert batched.verdicts[-1].name == "composite-weight" and "reduced-value-solves" not in failed
+
+    def test_two_solves_at_the_certified_delta(self, monkeypatch):
+        model, spec, config, plan = CASES["benchmark-plan"]()
+        calls = []
+
+        def recording(spec_arg, model_arg, config_arg, x0, z_init):
+            result = solve_optimal(spec_arg, model_arg, config_arg, x0, z_init)
+            calls.append((spec_arg.delta, np.array(x0), np.array(z_init), result))
+            return result
+
+        monkeypatch.setattr(certify_module, "solve_optimal", recording)
+        report = full_certificate(model, spec, config, plan)
+        assert report.closed_loop is not None  # the closed-loop check ran, at its own delta
+        at_delta = [call for call in calls if call[0] == spec.delta]
+        assert len(at_delta) == 2 and len(calls) == 4
+        (_, x_cold, z_cold, cold), (_, x_warm, z_warm, _) = at_delta
+        starts = plan.multistart_states * (plan.multistart_points - 1)
+        assert len(x_cold) == plan.n_states + starts + plan.n_value_states
+        # minimizer and value lanes start from zeros, multistart lanes from points in the input box
+        assert not z_cold[: plan.n_states].any() and not z_cold[plan.n_states + starts :].any()
+        assert np.all(z_cold[plan.n_states : plan.n_states + starts] != 0.0)
+        # the successor solve starts from the value lanes' minimizers
+        assert np.array_equal(z_warm, cold.z[plan.n_states + starts :])
+        assert len(x_warm) == plan.n_value_states
+
+
+class TestSampleCounts:
+    def test_counts_report_what_was_drawn(self):
+        # 5 map pairs over 2 states draw 2 per state, and only 2 of 5 multistart states exist
+        plan = dataclasses.replace(BENCH_PLAN, n_states=2, map_pairs=5, multistart_states=5)
+        report = full_certificate(PEND, make_ocp_spec(0.01), CFG, plan)
+        assert report.constants["lip_T"].samples == report.constants["lip_G"].samples == 4
+        detail = {v.name: v.detail for v in report.verdicts}["minimizer-uniqueness"]
+        assert detail.endswith(f"over 2 states x {plan.multistart_points} starts")

@@ -363,6 +363,17 @@ class TestSequenceOps:
     def test_shift_block(self):
         assert np.array_equal(warm_start_shift([1.0, 2.0, 3.0, 4.0], 2), [3.0, 4.0, 3.0, 4.0])
 
+    def test_shift_batch_rows(self):
+        assert np.array_equal(warm_start_shift([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], 1), [[1.0, 2.0, 2.0], [4.0, 5.0, 5.0]])
+        z = np.random.default_rng(3).normal(size=(4, 6))
+        shifted = warm_start_shift(z, 2)
+        assert shifted.shape == z.shape
+        for k in range(len(z)):
+            lone = warm_start_shift(z[k], 2)
+            assert np.array_equal(shifted[k], lone)
+            # one sequence: the drop-first, repeat-last concatenation, bit for bit
+            assert np.array_equal(lone, np.concatenate([z[k, 2:], z[k, -2:]]))
+
     def test_shift_bad_length(self):
         with pytest.raises(ValueError, match="multiple"):
             warm_start_shift([1.0, 2.0, 3.0], 2)
