@@ -1,15 +1,6 @@
 """Reduced-order suboptimal MPC for two-timescale plants, with stability certification."""
 
-from .plant import (
-    ActuatedPendulum,
-    LinearTwoTimescale,
-    PendulumParams,
-    PlantModel,
-    equilibrium_extra,
-    reduced_step,
-    step_extra,
-    step_target,
-)
+from .plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams, PlantModel
 from .ocp import (
     OcpSpec,
     OptimizerState,
@@ -18,7 +9,6 @@ from .ocp import (
     first_input,
     gradient,
     horizon_for_delta,
-    make_ocp_spec,
     project_box,
     rollout,
     solve_optimal,

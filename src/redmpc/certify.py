@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -235,7 +235,7 @@ def estimate_lipschitz(
 
 
 def _max_pair_quotient(rises: np.ndarray, gaps: np.ndarray, scale: np.ndarray, min_gap: float) -> float:
-    """Max of rises / scale over consecutive sample pairs (entry i: samples i and i + 1).
+    """Max of rises / scale over pairs of samples, one entry per pair.
 
     A pair counts when its gap is at least ``min_gap`` and its scale is positive; none gives 0.
     """
@@ -579,7 +579,7 @@ def closed_loop_decrease_check(
     cold-started solve each.
     """
     rng = np.random.default_rng(plan.seed + 2)
-    spec_d = spec.with_delta(delta)
+    spec_d = replace(spec, delta=delta)
     n, p, m = model.n, model.p, model.m
     nz = spec_d.horizon_N * m
     count = plan.closed_loop_samples
@@ -884,8 +884,7 @@ def _map_lipschitz(model, spec, solver_config, states, zstars, map_errors):
     t, _, _ = iterate_map(spec, model, solver_config, np.concatenate([x, x]), np.concatenate([za, zb]))
     ta, tb = t[: len(x)], t[len(x) :]
     gaps, steps = _norms(za - zb), _norms(ta - tb)
-    far = gaps > 1e-12
-    lip_T = float(np.max(steps[far] / gaps[far], initial=0.0))
+    lip_T = _max_pair_quotient(steps, gaps, gaps, 1e-12)
     # stacked fast map (extra state update, optimizer update)
     ua, ub = first_input(za, m), first_input(zb, m)
     xia = dxia + model.equilibrium_map(x, ua)
@@ -895,8 +894,7 @@ def _map_lipschitz(model, spec, solver_config, states, zstars, map_errors):
     # squares by float_power, which rounds as Python's ``**`` on floats does
     wgaps = np.sqrt(np.float_power(_norms(xia - xib), 2) + np.float_power(gaps, 2))
     gdiffs = np.sqrt(np.float_power(_norms(ga - gb), 2) + np.float_power(steps, 2))
-    far = wgaps > 1e-12
-    lip_G = float(np.max(gdiffs[far] / wgaps[far], initial=0.0))
+    lip_G = _max_pair_quotient(gdiffs, wgaps, wgaps, 1e-12)
     return {"lip_T": Estimate(lip_T, SAMPLED, len(x)), "lip_G": Estimate(lip_G, SAMPLED, len(x))}, []
 
 

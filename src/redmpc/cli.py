@@ -14,6 +14,7 @@ from . import __version__
 from .config import Config, ConfigError, load_config, manifest_text
 from .certify import full_certificate
 from .simulate import (
+    STRATEGIES,
     compare_strategies,
     fit_rate,
     simulate,
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="one closed-loop run; writes trace.csv, summary.txt, plot.gp")
     common(p_sim)
-    p_sim.add_argument("--strategy", choices=("proposed", "subopt-full", "opt-full"), default=None)
+    p_sim.add_argument("--strategy", choices=tuple(STRATEGIES), default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="strategy comparison across timescales; writes comparison.csv")

@@ -26,16 +26,18 @@ class ConfigError(ValueError):
     """Invalid configuration: unknown key, bad value, or syntax error."""
 
 
-def _strategy(value: str) -> str:
-    if value not in STRATEGIES:
-        raise ConfigError(f"strategy must be one of {sorted(STRATEGIES)}, got {value!r}")
-    return value
+def _one_of(key: str, names):
+    """Parser of ``key`` that accepts one of ``names`` only."""
+
+    def parse(value: str) -> str:
+        if value not in names:
+            raise ConfigError(f"{key} must be one of {sorted(names)}, got {value!r}")
+        return value
+
+    return parse
 
 
-def _model_kind(value: str) -> str:
-    if value not in ("pendulum", "linear"):
-        raise ConfigError(f"model must be 'pendulum' or 'linear', got {value!r}")
-    return value
+_strategy = _one_of("strategy", STRATEGIES)
 
 
 def _checked(build):
@@ -95,7 +97,7 @@ DEFAULTS: dict[str, dict[str, tuple] ] = {
         "skip_fraction": (float, 0.1),
     },
     "certify": {
-        "model": (_model_kind, "pendulum"),
+        "model": (_one_of("model", ("pendulum", "linear")), "pendulum"),
         "seed": (int, 0),
         "lipschitz_pairs": (int, 2000),
         "equilibrium_samples": (int, 10_000),
@@ -119,6 +121,14 @@ DEFAULTS: dict[str, dict[str, tuple] ] = {
 }
 
 
+def _check_known(section: str, key: str | None = None, where: str = "") -> None:
+    """Reject a section, or a key of it, that ``DEFAULTS`` does not define; ``where`` prefixes the message."""
+    if section not in DEFAULTS:
+        raise ConfigError(f"{where}unknown section [{section}]; allowed sections: {sorted(DEFAULTS)}")
+    if key is not None and key not in DEFAULTS[section]:
+        raise ConfigError(f"{where}unknown key {key!r} in [{section}]; allowed keys: {sorted(DEFAULTS[section])}")
+
+
 def parse_config_text(text: str) -> dict[str, dict[str, str]]:
     """Parse the sectioned key=value grammar into raw string values."""
     raw: dict[str, dict[str, str]] = {}
@@ -129,10 +139,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in DEFAULTS:
-                raise ConfigError(
-                    f"line {lineno}: unknown section [{section}]; allowed sections: {sorted(DEFAULTS)}"
-                )
+            _check_known(section, where=f"line {lineno}: ")
             raw.setdefault(section, {})
             continue
         if "=" not in stripped:
@@ -141,10 +148,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in DEFAULTS[section]:
-            raise ConfigError(
-                f"line {lineno}: unknown key {key!r} in [{section}]; allowed keys: {sorted(DEFAULTS[section])}"
-            )
+        _check_known(section, key, f"line {lineno}: ")
         raw[section][key] = value.strip()
     return raw
 
@@ -246,13 +250,9 @@ def load_config(path: str | None = None, overrides: dict[str, dict[str, str]] | 
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if overrides:
         for section, pairs in overrides.items():
-            if section not in DEFAULTS:
-                raise ConfigError(f"unknown section [{section}]; allowed sections: {sorted(DEFAULTS)}")
+            _check_known(section)
             for key, value in pairs.items():
-                if key not in DEFAULTS[section]:
-                    raise ConfigError(
-                        f"unknown key {key!r} in [{section}]; allowed keys: {sorted(DEFAULTS[section])}"
-                    )
+                _check_known(section, key)
                 raw.setdefault(section, {})[key] = str(value)
     values: dict[str, dict[str, object]] = {}
     for section, keys in DEFAULTS.items():

@@ -16,7 +16,7 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +26,7 @@ __all__ = [
     "OcpSpec",
     "SolverConfig",
     "OptimizerState",
-    "benchmark_weights",
     "horizon_for_delta",
-    "make_ocp_spec",
     "rollout",
     "cost",
     "gradient",
@@ -39,14 +37,6 @@ __all__ = [
     "first_input",
     "warm_start_shift",
 ]
-
-# Benchmark scenario: stage cost x'Qx + u'Rw u with Q = Qf = diag(100, 0.1),
-# Rw = 0.01, input saturation |u| <= 24, horizon window 0.5 s.
-BENCHMARK_Q = (100.0, 0.1)
-BENCHMARK_RW = 0.01
-BENCHMARK_U_MAX = 24.0
-HORIZON_WINDOW_S = 0.5
-
 
 def _check_symmetric(mat: np.ndarray, name: str, tol: float = 1e-12) -> np.ndarray:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
@@ -97,9 +87,6 @@ class OcpSpec:
     def n(self) -> int:
         return self.state_weight.shape[0]
 
-    def with_delta(self, delta: float) -> "OcpSpec":
-        return replace(self, delta=float(delta))
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -145,16 +132,8 @@ class OptimizerState:
     rejected_steps: int = 0
 
 
-def benchmark_weights(n: int = 2, m: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if n != 2 or m != 1:
-        raise ValueError("benchmark weights are defined for n=2, m=1")
-    Q = np.diag(BENCHMARK_Q)
-    Rw = np.array([[BENCHMARK_RW]])
-    return Q, Rw, Q.copy()
-
-
-def horizon_for_delta(delta: float, window_s: float = HORIZON_WINDOW_S) -> int:
-    """Number of prediction steps covering the fixed horizon window.
+def horizon_for_delta(delta: float, window_s: float) -> int:
+    """Number of prediction steps covering a horizon window of ``window_s`` seconds.
 
     Rounds half away from zero so the window/delta ratio 2.5 yields 3 steps,
     with a floor of 2 steps.
@@ -162,20 +141,6 @@ def horizon_for_delta(delta: float, window_s: float = HORIZON_WINDOW_S) -> int:
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     return max(2, int(math.floor(window_s / delta + 0.5)))
-
-
-def make_ocp_spec(delta: float, horizon_N: int | None = None, u_max: float = BENCHMARK_U_MAX) -> OcpSpec:
-    """Benchmark OCP for the pendulum at the given timescale."""
-    Q, Rw, Qf = benchmark_weights()
-    N = horizon_for_delta(delta) if horizon_N is None else int(horizon_N)
-    return OcpSpec(
-        horizon_N=N,
-        state_weight=Q,
-        input_weight=Rw,
-        terminal_weight=Qf,
-        input_box=(np.array([-u_max]), np.array([u_max])),
-        delta=delta,
-    )
 
 
 def _check_z(spec: OcpSpec, z) -> np.ndarray:

@@ -27,10 +27,6 @@ __all__ = [
     "PlantModel",
     "ActuatedPendulum",
     "LinearTwoTimescale",
-    "step_target",
-    "step_extra",
-    "equilibrium_extra",
-    "reduced_step",
     "validate_delta",
 ]
 
@@ -291,35 +287,3 @@ class LinearTwoTimescale(PlantModel):
         shape = x.shape[:-1] + (1, 1)
         return np.full(shape, self.s_fast / (1.0 - self.rho)), np.full(shape, self.e_fast / (1.0 - self.rho))
 
-
-def step_target(model: PlantModel, x, xi, u, delta: float) -> np.ndarray:
-    """One slow-subsystem step x[t+1] = f(x, xi, u, delta)."""
-    x = _as_vector(x, model.n, "x")
-    xi = _as_vector(xi, model.p, "xi")
-    u = _as_vector(u, model.m, "u")
-    delta = validate_delta(model, delta)
-    return model.target_map(x, xi, u, delta)
-
-
-def step_extra(model: PlantModel, xi, x, u, delta: float) -> np.ndarray:
-    """One fast-subsystem step xi[t+1] = g(xi, x, u, delta)."""
-    xi = _as_vector(xi, model.p, "xi")
-    x = _as_vector(x, model.n, "x")
-    u = _as_vector(u, model.m, "u")
-    delta = validate_delta(model, delta)
-    return model.extra_map(xi, x, u, delta)
-
-
-def equilibrium_extra(model: PlantModel, x, u) -> np.ndarray:
-    """Fast-state fixed point xi_eq(x, u) for frozen (x, u)."""
-    x = _as_vector(x, model.n, "x")
-    u = _as_vector(u, model.m, "u")
-    return model.equilibrium_map(x, u)
-
-
-def reduced_step(model: PlantModel, x, u, delta: float) -> np.ndarray:
-    """Reduced-order step f(x, xi_eq(x, u), u, delta), always by composition."""
-    x = _as_vector(x, model.n, "x")
-    u = _as_vector(u, model.m, "u")
-    delta = validate_delta(model, delta)
-    return model.reduced_map(x, u, delta)

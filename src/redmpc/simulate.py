@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .plant import PlantModel, equilibrium_extra, _as_vector
+from .plant import PlantModel, _as_vector
 from .ocp import (
     OcpSpec,
     SolverConfig,
@@ -174,7 +174,7 @@ def simulate(model: PlantModel, spec: OcpSpec, solver_config: SolverConfig, sim_
     x = _as_vector(sim_config.x0, n, "x0")
     xi = _as_vector(sim_config.xi0, p, "xi0")
     nz = spec.horizon_N * m
-    z = np.zeros(nz) if sim_config.z0 is None else np.asarray(sim_config.z0, dtype=float).reshape(nz).copy()
+    z = np.zeros(nz) if sim_config.z0 is None else _as_vector(sim_config.z0, nz, "z0")
     x_star = model.x_star
     Q, Rw = spec.state_weight, spec.input_weight
 
@@ -193,7 +193,7 @@ def simulate(model: PlantModel, spec: OcpSpec, solver_config: SolverConfig, sim_
     for t in range(steps):
         u = first_input(z, m)
         xs[t] = x
-        xis[t] = xi if strategy.plant_kind == "full_order" else equilibrium_extra(model, x, u)
+        xis[t] = xi if strategy.plant_kind == "full_order" else model.equilibrium_map(x, u)
         us[t] = u
         err = x - x_star
         cols["time_s"][t] = t * delta
@@ -230,7 +230,7 @@ def simulate(model: PlantModel, spec: OcpSpec, solver_config: SolverConfig, sim_
 
     kept = slice(0, t_done if not diverged else diverged_at + 1)
     idx = np.arange(steps)[kept]
-    final_xi = xi if strategy.plant_kind == "full_order" else equilibrium_extra(model, xs[idx[-1]], us[idx[-1]])
+    final_xi = xi if strategy.plant_kind == "full_order" else model.equilibrium_map(xs[idx[-1]], us[idx[-1]])
     return SimTrace(
         delta=delta,
         strategy=strategy,

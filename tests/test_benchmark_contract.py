@@ -1,7 +1,9 @@
-"""The names the benchmark's tracer wraps must exist in the library.
+"""The names the benchmark calls and wraps must exist in the library.
 
-``perfbench/tracing.py`` wraps redmpc functions and plant methods by name; a
-name that disappears would only fail a traced benchmark run. The module is
+``perfbench/tracing.py`` wraps redmpc functions and plant methods by name, and
+``perfbench/workloads.py`` builds and runs its workloads through the config
+loader, the ``Config`` methods, ``simulate``, ``full_certificate`` and the CLI;
+a name that disappears would only fail a benchmark run. The tracer module is
 loaded from its file and only read.
 """
 
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from redmpc.config import load_config
 from redmpc.plant import ActuatedPendulum
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -36,3 +39,23 @@ def test_timed_name_is_callable(module, attr):
 @pytest.mark.parametrize("method", TRACING_MODULE.PLANT_METHODS)
 def test_plant_method_exists(method):
     assert callable(getattr(ActuatedPendulum, method))
+
+
+# What ``perfbench/workloads.py`` calls to build and run its workloads.
+WORKLOAD_CALLS = [
+    ("redmpc.config", "load_config"),
+    ("redmpc.simulate", "simulate"),
+    ("redmpc.certify", "full_certificate"),
+    ("redmpc.cli", "main"),
+]
+CONFIG_METHODS = ("sim_model", "model", "ocp_spec", "solver_config", "sim_config", "sampling_plan")
+
+
+@pytest.mark.parametrize("module, attr", WORKLOAD_CALLS, ids=[f"{m}.{a}" for m, a in WORKLOAD_CALLS])
+def test_workload_name_is_callable(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("method", CONFIG_METHODS)
+def test_config_method_is_callable(method):
+    assert callable(getattr(load_config(), method))

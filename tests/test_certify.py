@@ -7,8 +7,9 @@ import redmpc.certify as certify_module
 import numpy as np
 import pytest
 
+from redmpc.config import load_config
 from redmpc.plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams
-from redmpc.ocp import OcpSpec, OptimizerState, SolverConfig, iterate_map, make_ocp_spec, solve_optimal
+from redmpc.ocp import OcpSpec, OptimizerState, SolverConfig, iterate_map, solve_optimal
 from redmpc.certify import (
     CertificationError,
     InterconnectionConstants,
@@ -85,7 +86,7 @@ def contraction_boundary_case():
         multistart_states=1,
         multistart_points=2,
     )
-    return bad, make_ocp_spec(0.01, horizon_N=10), CFG, plan
+    return bad, dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=10), CFG, plan
 
 
 class TestEstimateLipschitz:
@@ -377,7 +378,7 @@ class TestBisect:
 class TestBoundaryLayer:
     def test_origin_is_fixed_point(self):
         # At (xi_err, z_err) = (0, 0) the composite value change is ~ solver tolerance^2.
-        spec = make_ocp_spec(0.01, horizon_N=10)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=10)
         x = np.array([0.3, -0.2])
         star = solve_optimal(spec, PEND, CFG, x, np.zeros(10))
         from redmpc.ocp import first_input, iterate_map
@@ -390,7 +391,7 @@ class TestBoundaryLayer:
         assert drift <= 1e-15
 
     def test_pendulum_composite_decreases(self):
-        spec = make_ocp_spec(0.01)
+        spec = load_config().ocp_spec(0.01)
         rule = kappa_rule(a3=0.84, a4=1.0, b3=0.04, lip_xi=2.5, lip_g=1.5, lip_T=1.5)
         rng = np.random.default_rng(1)
         states = ball_samples(rng, (4, 2), min_norm=0.0)
@@ -409,7 +410,7 @@ class TestBoundaryLayer:
     def test_zero_weight_fails_on_drift(self):
         # With no optimizer term, the equilibrium drift pushed into the fast
         # error by a large z error makes the value increase.
-        spec = make_ocp_spec(0.01)
+        spec = load_config().ocp_spec(0.01)
         x = np.array([0.4, 0.1])
         star = solve_optimal(spec, PEND, CFG, x, np.zeros(50))
         assert star.converged
@@ -513,11 +514,11 @@ def starved_linear_case():
 
 
 CASES = {
-    "benchmark-plan": lambda: (PEND, make_ocp_spec(0.01), CFG, BENCH_PLAN),
+    "benchmark-plan": lambda: (PEND, load_config().ocp_spec(0.01), CFG, BENCH_PLAN),
     "early-exit": contraction_boundary_case,
     "budget-starved": starved_linear_case,
     # enough iterations for the minimizer lanes, too few for some value lane
-    "value-lanes-starved": lambda: (PEND, make_ocp_spec(0.01), SolverConfig(max_optimal_iters=50), BENCH_PLAN),
+    "value-lanes-starved": lambda: (PEND, load_config().ocp_spec(0.01), SolverConfig(max_optimal_iters=50), BENCH_PLAN),
 }
 
 
@@ -597,7 +598,7 @@ class TestSampleCounts:
     def test_counts_report_what_was_drawn(self):
         # 5 map pairs over 2 states draw 2 per state, and only 2 of 5 multistart states exist
         plan = dataclasses.replace(BENCH_PLAN, n_states=2, map_pairs=5, multistart_states=5)
-        report = full_certificate(PEND, make_ocp_spec(0.01), CFG, plan)
+        report = full_certificate(PEND, load_config().ocp_spec(0.01), CFG, plan)
         assert report.constants["lip_T"].samples == report.constants["lip_G"].samples == 4
         detail = {v.name: v.detail for v in report.verdicts}["minimizer-uniqueness"]
         assert detail.endswith(f"over 2 states x {plan.multistart_points} starts")

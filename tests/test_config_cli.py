@@ -74,6 +74,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="strategy"):
             load_config(None, {"sim": {"strategy": "warp"}})
 
+    def test_bad_model_rejected(self):
+        with pytest.raises(ConfigError, match="model must be one of"):
+            load_config(None, {"certify": {"model": "quadratic"}})
+
+    def test_override_names_checked_as_in_a_file(self):
+        with pytest.raises(ConfigError, match="unknown section"):
+            load_config(None, {"bogus": {}})
+        with pytest.raises(ConfigError, match="allowed keys"):
+            load_config(None, {"solver": {"warp_speed": "9"}})
+
     def test_horizon_override(self):
         cfg = load_config(None, {"ocp": {"horizon_steps": "7"}})
         assert cfg.ocp_spec().horizon_N == 7

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from redmpc.config import load_config
 from redmpc.plant import ActuatedPendulum, LinearTwoTimescale
 from redmpc.ocp import (
     OcpSpec,
@@ -10,7 +13,6 @@ from redmpc.ocp import (
     gradient,
     horizon_for_delta,
     iterate_map,
-    make_ocp_spec,
     project_box,
     rollout,
     solve_optimal,
@@ -34,20 +36,22 @@ def fd_gradient(spec, model, x0, z, h=1e-6):
 
 
 class TestHorizonRule:
+    WINDOW_S = load_config()["ocp"]["horizon_window_s"]  # the benchmark's 0.5 s
+
     def test_benchmark_steps(self):
-        assert [horizon_for_delta(d) for d in (0.01, 0.1, 0.2)] == [50, 5, 3]
+        assert [horizon_for_delta(d, self.WINDOW_S) for d in (0.01, 0.1, 0.2)] == [50, 5, 3]
 
     def test_floor_of_two(self):
-        assert horizon_for_delta(0.5) == 2
+        assert horizon_for_delta(0.5, self.WINDOW_S) == 2
 
     def test_half_rounds_up(self):
-        assert horizon_for_delta(0.2) == 3  # 0.5/0.2 = 2.5
+        assert horizon_for_delta(0.2, self.WINDOW_S) == 3  # 0.5/0.2 = 2.5
 
 
 class TestSpecValidation:
     def test_horizon_positive(self):
         with pytest.raises(ValueError, match="horizon_N"):
-            make_ocp_spec(0.01, horizon_N=0)
+            dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=0)
 
     def test_box_ordering(self):
         with pytest.raises(ValueError, match="lo <= hi"):
@@ -80,12 +84,12 @@ class TestSolverConfigValidation:
 
 class TestRollout:
     def test_equilibrium(self):
-        spec = make_ocp_spec(0.01, horizon_N=7)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=7)
         states = rollout(spec, PEND, [0.0, 0.0], np.zeros(7))
         assert np.array_equal(states, np.zeros((8, 2)))
 
     def test_single_step(self):
-        spec = make_ocp_spec(0.01, horizon_N=1)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=1)
         states = rollout(spec, PEND, [0.0, 1.0], [0.0])
         assert states[1][0] == pytest.approx(0.01, abs=1e-12)
         assert states[1][1] == pytest.approx(0.984667, abs=1e-6)
@@ -93,7 +97,7 @@ class TestRollout:
     def test_two_step_chain(self):
         # Second step includes the equilibrium-current damping of the composed
         # reduced map: omega_2 = 0.008 + 0.01*(-0.008 + 0.8*(-(0.4/0.6)*0.008)).
-        spec = make_ocp_spec(0.01, horizon_N=2)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=2)
         states = rollout(spec, PEND, [0.0, 0.0], [0.6, 0.0])
         assert states[1] == pytest.approx([0.0, 0.008], abs=1e-12)
         assert states[2][0] == pytest.approx(8.0e-5, abs=1e-9)
@@ -113,35 +117,35 @@ class TestRollout:
             rollout(spec, blowup, [1.0], np.zeros(5))
 
     def test_wrong_length_rejected(self):
-        spec = make_ocp_spec(0.01, horizon_N=3)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=3)
         with pytest.raises(ValueError, match="N\\*m"):
             rollout(spec, PEND, [0.0, 0.0], np.zeros(4))
 
 
 class TestCost:
     def test_zero_at_equilibrium(self):
-        spec = make_ocp_spec(0.01, horizon_N=9)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=9)
         assert cost(spec, PEND, [0.0, 0.0], np.zeros(9)) == 0.0
 
     def test_stage_plus_terminal(self):
-        spec = make_ocp_spec(0.01, horizon_N=1)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=1)
         # stage 0.1*omega^2 = 0.1, terminal 100*0.01^2 + 0.1*0.984667^2
         assert cost(spec, PEND, [0.0, 1.0], [0.0]) == pytest.approx(0.20695684, abs=1e-6)
 
     def test_input_cost_and_terminal(self):
-        spec = make_ocp_spec(0.01, horizon_N=1)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=1)
         # 0.01*1^2 + 0.1*(0.01*0.8/0.6)^2 from the composed reduced step
         assert cost(spec, PEND, [0.0, 0.0], [1.0]) == pytest.approx(0.0100177778, abs=1e-8)
 
 
 class TestGradient:
     def test_zero_at_global_minimum(self):
-        spec = make_ocp_spec(0.01, horizon_N=10)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=10)
         g = gradient(spec, PEND, [0.0, 0.0], np.zeros(10))
         assert np.array_equal(g, np.zeros(10))
 
     def test_matches_finite_differences(self):
-        spec = make_ocp_spec(0.01, horizon_N=5)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=5)
         rng = np.random.default_rng(6)
         for _ in range(20):
             x0 = rng.uniform(-1, 1, 2)
@@ -152,7 +156,7 @@ class TestGradient:
             assert rel <= 1e-6
 
     def test_long_horizon_matches_finite_differences(self):
-        spec = make_ocp_spec(0.01)  # N = 50
+        spec = load_config().ocp_spec(0.01)  # N = 50
         rng = np.random.default_rng(7)
         for _ in range(3):
             x0 = rng.uniform(-1, 1, 2)
@@ -177,7 +181,7 @@ class TestGradient:
 
 
 class TestProjection:
-    SPEC = make_ocp_spec(0.01, horizon_N=1)
+    SPEC = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=1)
 
     def test_clamp_above(self):
         assert project_box(self.SPEC, [30.0])[0] == 24.0
@@ -186,11 +190,11 @@ class TestProjection:
         assert project_box(self.SPEC, [5.0])[0] == 5.0
 
     def test_mixed(self):
-        spec = make_ocp_spec(0.01, horizon_N=2)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=2)
         assert np.array_equal(project_box(spec, [-30.0, 3.0]), [-24.0, 3.0])
 
     def test_idempotent(self):
-        spec = make_ocp_spec(0.01, horizon_N=6)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=6)
         rng = np.random.default_rng(9)
         for _ in range(100):
             z = rng.uniform(-100, 100, 6)
@@ -219,7 +223,7 @@ class TestIterateMap:
         assert rejected == 0 and states is None
 
     def test_fixed_step_is_projected_gradient_step(self):
-        spec = make_ocp_spec(0.1)
+        spec = load_config().ocp_spec(0.1)
         cfg = SolverConfig(step_rule="fixed", alpha0=3.0)
         rng = np.random.default_rng(13)
         x0, z = rng.uniform(-1, 1, 2), rng.uniform(-24, 24, 5)
@@ -245,7 +249,7 @@ class TestIterateMap:
         assert self._solve_toy([-30.0])[0] == pytest.approx(24.0, abs=1e-12)
 
     def test_returns_rollout_of_result(self):
-        spec = make_ocp_spec(0.1)
+        spec = load_config().ocp_spec(0.1)
         z, rejected, states = iterate_map(spec, PEND, SolverConfig(iters_per_sample=3), [0.4, -0.2], np.zeros(5))
         assert rejected == 0
         assert np.array_equal(states, rollout(spec, PEND, [0.4, -0.2], z))
@@ -274,20 +278,20 @@ class TestIterateMap:
 
 class TestSolveOptimal:
     def test_equilibrium_needs_no_iterations(self):
-        spec = make_ocp_spec(0.01, horizon_N=12)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=12)
         res = solve_optimal(spec, PEND, CFG, [0.0, 0.0], np.zeros(12))
         assert res.iterations_used == 0
         assert res.converged
         assert np.array_equal(res.z, np.zeros(12))
 
     def test_converges_and_flags(self):
-        spec = make_ocp_spec(0.01)
+        spec = load_config().ocp_spec(0.01)
         res = solve_optimal(spec, PEND, CFG, [0.5, -0.3], np.zeros(50))
         assert res.converged
         assert res.projected_gradient_norm <= CFG.optimal_tol
 
     def test_non_convergence_flagged_not_silent(self):
-        spec = make_ocp_spec(0.01)
+        spec = load_config().ocp_spec(0.01)
         tight = SolverConfig(optimal_tol=1e-8, max_optimal_iters=2)
         res = solve_optimal(spec, PEND, tight, [0.9, 0.0], np.zeros(50))
         assert not res.converged
@@ -296,7 +300,7 @@ class TestSolveOptimal:
 
 class TestSolverMap:
     def test_fixed_point_at_minimizer(self):
-        spec = make_ocp_spec(0.01)
+        spec = load_config().ocp_spec(0.01)
         rng = np.random.default_rng(10)
         for _ in range(3):
             x0 = rng.uniform(-0.8, 0.8, 2)
@@ -306,7 +310,7 @@ class TestSolverMap:
             assert np.linalg.norm(after.z - star.z) <= 1e-8
 
     def test_descent_with_backtracking(self):
-        spec = make_ocp_spec(0.01)
+        spec = load_config().ocp_spec(0.01)
         rng = np.random.default_rng(11)
         for _ in range(10):
             x0 = rng.uniform(-1, 1, 2)
@@ -315,7 +319,7 @@ class TestSolverMap:
             assert cost(spec, PEND, x0, out.z) <= cost(spec, PEND, x0, project_box(spec, z)) + 1e-12
 
     def test_budget_respected_and_in_box(self):
-        spec = make_ocp_spec(0.1)
+        spec = load_config().ocp_spec(0.1)
         cfg = SolverConfig(iters_per_sample=3)
         out = solver_map(spec, PEND, cfg, [1.0, 0.0], np.zeros(5))
         assert out.iterations_used == 3
@@ -324,7 +328,7 @@ class TestSolverMap:
 
     def test_contraction_toward_minimizer(self):
         # squared distance to the minimizer shrinks by a positive factor
-        spec = make_ocp_spec(0.01)
+        spec = load_config().ocp_spec(0.01)
         rng = np.random.default_rng(12)
         worst = np.inf
         for _ in range(5):
@@ -381,7 +385,7 @@ class TestSequenceOps:
 
 class TestProjectedGradientNorm:
     def test_zero_at_constrained_stationary_point(self):
-        spec = make_ocp_spec(0.01, horizon_N=2)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=2)
         x0 = [0.2, 0.1]
         star = solve_optimal(spec, PEND, SolverConfig(optimal_tol=1e-10), x0, np.zeros(2))
         g = gradient(spec, PEND, x0, star.z)
@@ -407,7 +411,7 @@ class TestEvaluationCounts:
     trial's rollout is reused; each gradient takes one reduced_jacobians call for
     the whole horizon, and a batch makes the calls of one lane."""
 
-    SPEC = make_ocp_spec(0.01)  # N = 50
+    SPEC = load_config().ocp_spec(0.01)  # N = 50
     X0 = [0.3, -0.2]
 
     def test_solver_map(self):
@@ -503,8 +507,8 @@ def linear_case_spec():
 
 
 REFERENCE_CASES = {
-    "pendulum-N5": (make_ocp_spec(0.1), PEND, 2, 24.0),
-    "pendulum-N50": (make_ocp_spec(0.01), PEND, 2, 24.0),
+    "pendulum-N5": (load_config().ocp_spec(0.1), PEND, 2, 24.0),
+    "pendulum-N50": (load_config().ocp_spec(0.01), PEND, 2, 24.0),
     "linear": (linear_case_spec(), LinearTwoTimescale(), 1, 10.0),
 }
 
@@ -624,7 +628,7 @@ class TestBatchAxis:
 
     def test_solve_optimal_mixed_batch(self):
         # lanes that reach tolerance, stop at a rejected step, or run out of budget
-        spec, config = make_ocp_spec(0.1), SolverConfig(max_backtracks=2, max_optimal_iters=40)
+        spec, config = load_config().ocp_spec(0.1), SolverConfig(max_backtracks=2, max_optimal_iters=40)
         rng = np.random.default_rng(16)
         x0, z = rng.uniform(-1, 1, (12, 2)), rng.uniform(-36, 36, (12, 5))
         state = solve_optimal(spec, PEND, config, x0, z)

@@ -3,77 +3,73 @@ import math
 import numpy as np
 import pytest
 
-from redmpc.plant import (
-    ActuatedPendulum,
-    LinearTwoTimescale,
-    PendulumParams,
-    equilibrium_extra,
-    reduced_step,
-    step_extra,
-    step_target,
-)
+from redmpc.plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams, _as_vector, validate_delta
 
 PEND = ActuatedPendulum()
 
 
+def vec(*values):
+    return np.array(values, dtype=float)
+
+
 class TestStepTarget:
     def test_origin_fixed_point(self):
-        out = step_target(PEND, [0.0, 0.0], [0.0], [0.0], 0.01)
+        out = PEND.target_map(vec(0.0, 0.0), vec(0.0), vec(0.0), 0.01)
         assert np.array_equal(out, np.zeros(2))
 
     def test_gravity_term(self):
         # omega' = 0 + delta * (-(m g l / J) sin(pi/2)) = -0.01 * 9.81
-        out = step_target(PEND, [math.pi / 2, 0.0], [0.0], [0.0], 0.01)
+        out = PEND.target_map(vec(math.pi / 2, 0.0), vec(0.0), vec(0.0), 0.01)
         assert out[0] == pytest.approx(1.570796, abs=1e-6)
         assert out[1] == pytest.approx(-0.0981, abs=1e-12)
 
     def test_friction_term(self):
         # theta' = delta * omega; omega' = omega * (1 - delta * beta / J)
-        out = step_target(PEND, [0.0, 1.0], [0.0], [0.0], 0.01)
+        out = PEND.target_map(vec(0.0, 1.0), vec(0.0), vec(0.0), 0.01)
         assert out[0] == pytest.approx(0.01, abs=1e-15)
         assert out[1] == pytest.approx(0.99, abs=1e-15)
 
 
 class TestStepExtra:
     def test_zero_fixed_point(self):
-        assert step_extra(PEND, [0.0], [0.0, 0.0], [0.0], 0.01)[0] == 0.0
+        assert PEND.extra_map(vec(0.0), vec(0.0, 0.0), vec(0.0), 0.01)[0] == 0.0
 
     def test_contraction_factor(self):
-        assert step_extra(PEND, [1.0], [0.0, 0.0], [0.0], 0.01)[0] == pytest.approx(0.4, abs=1e-15)
+        assert PEND.extra_map(vec(1.0), vec(0.0, 0.0), vec(0.0), 0.01)[0] == pytest.approx(0.4, abs=1e-15)
 
     def test_back_emf_and_input(self):
-        assert step_extra(PEND, [0.0], [0.0, 1.0], [0.6], 0.01)[0] == pytest.approx(0.2, abs=1e-15)
+        assert PEND.extra_map(vec(0.0), vec(0.0, 1.0), vec(0.6), 0.01)[0] == pytest.approx(0.2, abs=1e-15)
 
     def test_delta_independent(self):
-        a = step_extra(PEND, [2.0], [0.3, -1.0], [5.0], 0.01)
-        b = step_extra(PEND, [2.0], [0.3, -1.0], [5.0], 0.2)
+        a = PEND.extra_map(vec(2.0), vec(0.3, -1.0), vec(5.0), 0.01)
+        b = PEND.extra_map(vec(2.0), vec(0.3, -1.0), vec(5.0), 0.2)
         assert np.array_equal(a, b)
 
 
 class TestEquilibriumExtra:
     def test_origin(self):
-        assert equilibrium_extra(PEND, [0.0, 0.0], [0.0])[0] == 0.0
+        assert PEND.equilibrium_map(vec(0.0, 0.0), vec(0.0))[0] == 0.0
 
     def test_back_emf(self):
-        assert equilibrium_extra(PEND, [0.0, 1.0], [0.0])[0] == pytest.approx(-0.666667, abs=1e-6)
+        assert PEND.equilibrium_map(vec(0.0, 1.0), vec(0.0))[0] == pytest.approx(-0.666667, abs=1e-6)
 
     def test_input_gain(self):
-        assert equilibrium_extra(PEND, [0.0, 0.0], [0.6])[0] == pytest.approx(1.0, abs=1e-12)
+        assert PEND.equilibrium_map(vec(0.0, 0.0), vec(0.6))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestReducedStep:
     def test_origin_fixed_point(self):
         for delta in (0.01, 0.1, 0.2):
-            assert np.array_equal(reduced_step(PEND, [0.0, 0.0], [0.0], delta), np.zeros(2))
+            assert np.array_equal(PEND.reduced_map(vec(0.0, 0.0), vec(0.0), delta), np.zeros(2))
 
     def test_back_emf_damping(self):
         # xi_eq = -2/3, so omega' = 1 + 0.01 * (-1 + 0.8 * (-2/3))
-        out = reduced_step(PEND, [0.0, 1.0], [0.0], 0.01)
+        out = PEND.reduced_map(vec(0.0, 1.0), vec(0.0), 0.01)
         assert out[0] == pytest.approx(0.01, abs=1e-12)
         assert out[1] == pytest.approx(0.984667, abs=1e-6)
 
     def test_input_path(self):
-        out = reduced_step(PEND, [0.0, 0.0], [0.6], 0.01)
+        out = PEND.reduced_map(vec(0.0, 0.0), vec(0.6), 0.01)
         assert out[0] == 0.0
         assert out[1] == pytest.approx(0.008, abs=1e-12)
 
@@ -83,8 +79,8 @@ class TestReducedStep:
             x = rng.uniform([-math.pi, -10], [math.pi, 10])
             u = rng.uniform(-24, 24, 1)
             delta = rng.uniform(1e-3, 0.2)
-            direct = reduced_step(PEND, x, u, delta)
-            composed = step_target(PEND, x, equilibrium_extra(PEND, x, u), u, delta)
+            direct = PEND.reduced_map(x, u, delta)
+            composed = PEND.target_map(x, PEND.equilibrium_map(x, u), u, delta)
             assert np.array_equal(direct, composed)
 
 
@@ -96,8 +92,8 @@ class TestInvariants:
             x = rng.uniform([-math.pi, -10], [math.pi, 10])
             u = rng.uniform(-24, 24, 1)
             delta = rng.uniform(1e-3, 0.2)
-            xi_eq = equilibrium_extra(PEND, x, u)
-            res = abs(step_extra(PEND, xi_eq, x, u, delta)[0] - xi_eq[0])
+            xi_eq = PEND.equilibrium_map(x, u)
+            res = abs(PEND.extra_map(xi_eq, x, u, delta)[0] - xi_eq[0])
             worst = max(worst, res)
         assert worst <= 1e-12
 
@@ -111,14 +107,14 @@ class TestInvariants:
             u_a, u_b = rng.uniform(-24, 24, 2)
             delta = rng.uniform(1e-3, 0.2)
             diff = np.linalg.norm(
-                step_target(PEND, x, [xi_a], [u_a], delta) - step_target(PEND, x, [xi_b], [u_b], delta)
+                PEND.target_map(x, vec(xi_a), vec(u_a), delta) - PEND.target_map(x, vec(xi_b), vec(u_b), delta)
             )
             assert diff <= delta * L * (abs(xi_a - xi_b) + abs(u_a - u_b)) + 1e-12
 
     def test_slow_coupling_tight_when_input_fixed(self):
         diff = np.linalg.norm(
-            step_target(PEND, [0.2, 1.0], [3.0], [5.0], 0.05)
-            - step_target(PEND, [0.2, 1.0], [1.0], [5.0], 0.05)
+            PEND.target_map(vec(0.2, 1.0), vec(3.0), vec(5.0), 0.05)
+            - PEND.target_map(vec(0.2, 1.0), vec(1.0), vec(5.0), 0.05)
         )
         assert diff == pytest.approx(0.05 * 0.8 * 2.0, rel=1e-12)
 
@@ -128,27 +124,29 @@ class TestInvariants:
             xi_a, xi_b = rng.uniform(-40, 40, 2)
             x = rng.uniform([-math.pi, -10], [math.pi, 10])
             u = rng.uniform(-24, 24, 1)
-            da = step_extra(PEND, [xi_a], x, u, 0.01)[0]
-            db = step_extra(PEND, [xi_b], x, u, 0.01)[0]
+            da = PEND.extra_map(vec(xi_a), x, u, 0.01)[0]
+            db = PEND.extra_map(vec(xi_b), x, u, 0.01)[0]
             assert abs(da - db) == pytest.approx(0.4 * abs(xi_a - xi_b), rel=1e-12)
 
 
 class TestValidation:
+    """``_as_vector`` checks the vectors that enter ``simulate`` (x0, xi0, z0); ``validate_delta`` the timescale."""
+
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="length 2"):
-            step_target(PEND, [0.0, 0.0, 0.0], [0.0], [0.0], 0.01)
+        with pytest.raises(ValueError, match="x0 must be a vector of length 2"):
+            _as_vector([0.0, 0.0, 0.0], PEND.n, "x0")
         with pytest.raises(ValueError, match="length 1"):
-            step_extra(PEND, [0.0, 0.0], [0.0, 0.0], [0.0], 0.01)
+            _as_vector([0.0, 0.0], PEND.p, "xi0")
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            step_target(PEND, [np.nan, 0.0], [0.0], [0.0], 0.01)
+        with pytest.raises(ValueError, match="x0 contains non-finite"):
+            _as_vector([np.nan, 0.0], PEND.n, "x0")
 
     def test_bad_delta(self):
         with pytest.raises(ValueError, match="positive"):
-            reduced_step(PEND, [0.0, 0.0], [0.0], -0.01)
+            validate_delta(PEND, -0.01)
         with pytest.raises(ValueError, match="delta_max"):
-            reduced_step(PEND, [0.0, 0.0], [0.0], 2.0)
+            validate_delta(PEND, 2.0)
 
     def test_params_must_be_positive(self):
         with pytest.raises(ValueError, match="strictly positive"):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from redmpc.config import load_config
 from redmpc.plant import ActuatedPendulum, LinearTwoTimescale
-from redmpc.ocp import OcpSpec, SolverConfig, make_ocp_spec, solve_optimal
+from redmpc.ocp import OcpSpec, SolverConfig, solve_optimal
 from redmpc.simulate import (
     COMPARISON_HEADER,
     STRATEGIES,
@@ -81,7 +84,7 @@ class TestFitRate:
 
 class TestSimulate:
     def test_equilibrium_is_invariant_all_strategies(self):
-        spec = make_ocp_spec(0.01, horizon_N=10)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=10)
         for strategy in STRATEGIES.values():
             cfg = SimConfig(delta=0.01, duration_s=0.5, x0=(0.0, 0.0), strategy=strategy)
             trace = simulate(PEND, spec, CFG, cfg)
@@ -91,7 +94,7 @@ class TestSimulate:
             assert not trace.diverged
 
     def test_determinism_bit_identical(self):
-        spec = make_ocp_spec(0.1)
+        spec = load_config().ocp_spec(0.1)
         cfg = SimConfig(delta=0.1, duration_s=3.0)
         a = simulate(PEND, spec, CFG, cfg)
         b = simulate(PEND, spec, CFG, cfg)
@@ -99,14 +102,21 @@ class TestSimulate:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_inputs_respect_saturation(self):
-        spec = make_ocp_spec(0.1)
+        spec = load_config().ocp_spec(0.1)
         trace = simulate(PEND, spec, CFG, SimConfig(delta=0.1, duration_s=4.0))
         assert np.all(np.abs(trace.u) <= 24.0 + 1e-12)
 
     def test_delta_mismatch_rejected(self):
-        spec = make_ocp_spec(0.1)
+        spec = load_config().ocp_spec(0.1)
         with pytest.raises(ValueError, match="does not match"):
             simulate(PEND, spec, CFG, SimConfig(delta=0.01))
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_non_finite_warm_start_rejected(self, strategy):
+        spec = load_config().ocp_spec(0.01)
+        cfg = SimConfig(delta=0.01, duration_s=0.1, z0=np.full(spec.horizon_N, np.nan), strategy=STRATEGIES[strategy])
+        with pytest.raises(ValueError, match="z0 contains non-finite"):
+            simulate(PEND, spec, CFG, cfg)
 
     def test_divergence_truncates_and_flags(self):
         blowup = LinearTwoTimescale(a_slow=1e200, b_slow=0.0, c_slow=1.0, s_fast=0.0, e_fast=0.0)
@@ -124,7 +134,7 @@ class TestSimulate:
         assert trace.step.size < cfg.steps
 
     def test_reduced_plant_records_equilibrium_current(self):
-        spec = make_ocp_spec(0.1)
+        spec = load_config().ocp_spec(0.1)
         cfg = SimConfig(delta=0.1, duration_s=1.0, strategy=STRATEGIES["subopt-full"])
         trace = simulate(PEND, spec, CFG, cfg)
         for i in trace.step:
@@ -132,7 +142,7 @@ class TestSimulate:
             assert trace.xi[i, 0] == pytest.approx(xi_eq[0], abs=1e-12)
 
     def test_full_plant_current_lags_equilibrium(self):
-        spec = make_ocp_spec(0.1)
+        spec = load_config().ocp_spec(0.1)
         trace = simulate(PEND, spec, CFG, SimConfig(delta=0.1, duration_s=1.0))
         lags = [
             abs(trace.xi[i, 0] - PEND.equilibrium_map(trace.x[i], trace.u[i])[0])
@@ -156,7 +166,7 @@ class TestStrategy:
 
 class TestCompareStrategies:
     def test_equilibrium_rows_all_zero(self):
-        spec = make_ocp_spec(0.1)
+        spec = load_config().ocp_spec(0.1)
         base = SimConfig(delta=0.1, duration_s=2.0, x0=(0.0, 0.0))
         rows = compare_strategies(PEND, [spec], CFG, base)
         assert len(rows) == 3
@@ -168,7 +178,7 @@ class TestCompareStrategies:
 
     def test_row_grid(self):
         base = SimConfig(delta=0.1, duration_s=1.0)
-        rows = compare_strategies(PEND, [make_ocp_spec(0.1), make_ocp_spec(0.2)], CFG, base)
+        rows = compare_strategies(PEND, [load_config().ocp_spec(0.1), load_config().ocp_spec(0.2)], CFG, base)
         assert len(rows) == 6
         assert [r.delta for r in rows] == [0.1, 0.1, 0.1, 0.2, 0.2, 0.2]
 
@@ -179,7 +189,7 @@ class TestCompareStrategies:
 
 class TestCsvOutputs:
     def test_trace_schema(self, tmp_path):
-        spec = make_ocp_spec(0.1)
+        spec = load_config().ocp_spec(0.1)
         trace = simulate(PEND, spec, CFG, SimConfig(delta=0.1, duration_s=1.0))
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
@@ -191,7 +201,7 @@ class TestCsvOutputs:
         assert first[0] == "0"
 
     def test_comparison_schema(self, tmp_path):
-        spec = make_ocp_spec(0.2)
+        spec = load_config().ocp_spec(0.2)
         rows = compare_strategies(PEND, [spec], CFG, SimConfig(delta=0.2, duration_s=1.0))
         path = tmp_path / "cmp.csv"
         write_comparison_csv(rows, path)
@@ -226,7 +236,7 @@ class TestErrorEnvelope:
         # Exponential-stability surrogate at the well-separated timescale: the
         # forward-looking envelope of |theta| never grows past the first 10%
         # of steps, and it keeps shrinking.
-        spec = make_ocp_spec(0.01)
+        spec = load_config().ocp_spec(0.01)
         trace = simulate(PEND, spec, CFG, SimConfig(delta=0.01, duration_s=6.0))
         e = trace.err_theta
         env = np.maximum.accumulate(e[::-1])[::-1]  # max over s >= t
@@ -239,12 +249,12 @@ class TestErrorEnvelope:
 
 class TestEquilibriumStart:
     def test_minimizer_at_origin_is_zero(self):
-        spec = make_ocp_spec(0.01, horizon_N=20)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=20)
         star = solve_optimal(spec, PEND, CFG, [0.0, 0.0], np.zeros(20))
         assert np.array_equal(star.z, np.zeros(20))
 
     def test_thousand_steps_stay_at_equilibrium(self):
-        spec = make_ocp_spec(0.01, horizon_N=10)
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), horizon_N=10)
         cfg = SimConfig(delta=0.01, duration_s=10.0, x0=(0.0, 0.0))
         trace = simulate(PEND, spec, CFG, cfg)
         assert trace.step.size == 1000
