@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import PlantModel
+from .plant import PlantModel, _check_delta
 
 __all__ = [
     "OcpSpec",
@@ -75,9 +75,7 @@ class OcpSpec:
         if np.any(lo > hi):
             raise ValueError(f"input_box requires lo <= hi componentwise, got lo={lo}, hi={hi}")
         object.__setattr__(self, "input_box", (lo, hi))
-        if float(self.delta) <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "delta", _check_delta(self.delta))
 
     @property
     def m(self) -> int:
@@ -138,9 +136,7 @@ def horizon_for_delta(delta: float, window_s: float) -> int:
     Rounds half away from zero so the window/delta ratio 2.5 yields 3 steps,
     with a floor of 2 steps.
     """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return max(2, int(math.floor(window_s / delta + 0.5)))
+    return max(2, int(math.floor(window_s / _check_delta(delta) + 0.5)))
 
 
 def _check_z(spec: OcpSpec, z) -> np.ndarray:

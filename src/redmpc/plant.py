@@ -41,10 +41,16 @@ def _as_vector(v, dim: int, name: str) -> np.ndarray:
     return arr
 
 
-def validate_delta(model: "PlantModel", delta: float) -> float:
+def _check_delta(delta: float) -> float:
+    """The timescale as a float; it must be finite and positive."""
     delta = float(delta)
-    if not math.isfinite(delta) or delta <= 0.0:
+    if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be positive, got {delta}")
+    return delta
+
+
+def validate_delta(model: "PlantModel", delta: float) -> float:
+    delta = _check_delta(delta)
     if delta >= model.delta_max:
         raise ValueError(f"delta must be < delta_max={model.delta_max}, got {delta}")
     return delta
@@ -91,7 +97,7 @@ class PlantModel:
 
     Concrete models provide the maps ``target_map`` (f), ``extra_map`` (g),
     ``equilibrium_map`` (xi_eq) and their Jacobians, plus dimensions
-    ``n, p, m``, the equilibrium pair ``(x_star, u_star)`` and analytic
+    ``n, p, m``, the equilibrium state ``x_star`` and analytic
     Lipschitz constants where closed forms exist. All maps are pure
     functions; a model instance may be shared read-only across threads.
 
@@ -119,10 +125,6 @@ class PlantModel:
     @property
     def x_star(self) -> np.ndarray:
         return np.zeros(self.n)
-
-    @property
-    def u_star(self) -> np.ndarray:
-        return np.zeros(self.m)
 
     def target_map(self, x: np.ndarray, xi: np.ndarray, u: np.ndarray, delta) -> np.ndarray:
         raise NotImplementedError

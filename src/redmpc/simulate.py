@@ -10,14 +10,16 @@ the optimizer is always the reduced map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .plant import PlantModel, _as_vector
+from .plant import PlantModel, _as_vector, _check_delta
 from .ocp import (
     OcpSpec,
     SolverConfig,
+    _norms,
+    _quadratic,
     first_input,
     solve_optimal,
     solver_map,
@@ -88,8 +90,7 @@ class SimConfig:
     def __post_init__(self):
         if self.duration_s <= 0.0:
             raise ValueError(f"duration_s must be positive, got {self.duration_s}")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        _check_delta(self.delta)
 
     @property
     def steps(self) -> int:
@@ -136,7 +137,7 @@ class SimTrace:
     pg_norm: np.ndarray       # (T,)
     final_x: np.ndarray
     final_xi: np.ndarray
-    x_star: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    x_star: np.ndarray
     diverged: bool = False
     diverged_at: int | None = None
 
@@ -164,7 +165,9 @@ def simulate(model: PlantModel, spec: OcpSpec, solver_config: SolverConfig, sim_
     with the full two-timescale dynamics or with the reduced map according to
     the strategy. For reduced-plant runs the recorded fast state is the
     equilibrium value at the current state and input. A non-finite state halts
-    the run and marks the trace as diverged.
+    the run and marks the trace as diverged. The loop records only the
+    interconnection's states, inputs and solver diagnostics; the error and
+    cost columns are computed from them afterwards.
     """
     delta = float(sim_config.delta)
     if abs(delta - spec.delta) > 1e-15:
@@ -175,80 +178,61 @@ def simulate(model: PlantModel, spec: OcpSpec, solver_config: SolverConfig, sim_
     xi = _as_vector(sim_config.xi0, p, "xi0")
     nz = spec.horizon_N * m
     z = np.zeros(nz) if sim_config.z0 is None else _as_vector(sim_config.z0, nz, "z0")
-    x_star = model.x_star
-    Q, Rw = spec.state_weight, spec.input_weight
+    full_plant = strategy.plant_kind == "full_order"
+    update = solver_map if strategy.solver_kind == "suboptimal" else solve_optimal
 
     steps = sim_config.steps
-    cols = {
-        name: np.zeros(steps)
-        for name in ("time_s", "err_norm", "err_theta", "stage_cost", "solver_iters", "pg_norm")
-    }
-    xs = np.zeros((steps, n))
-    xis = np.zeros((steps, p))
-    us = np.zeros((steps, m))
+    xs, xis, us = np.zeros((steps, n)), np.zeros((steps, p)), np.zeros((steps, m))
+    iters, pg = np.zeros(steps), np.zeros(steps)
     diverged = False
-    diverged_at = None
-
-    t_done = 0
     for t in range(steps):
         u = first_input(z, m)
-        xs[t] = x
-        xis[t] = xi if strategy.plant_kind == "full_order" else model.equilibrium_map(x, u)
-        us[t] = u
-        err = x - x_star
-        cols["time_s"][t] = t * delta
+        xs[t], us[t] = x, u
+        xis[t] = xi if full_plant else model.equilibrium_map(x, u)
         with np.errstate(over="ignore", invalid="ignore"):
-            cols["err_norm"][t] = _norm(err)
-            cols["err_theta"][t] = float(abs(err[0]))
-            cols["stage_cost"][t] = float(err @ Q @ err) + float(u @ Rw @ u)
-            if strategy.plant_kind == "full_order":
-                x_next = model.target_map(x, xi, u, delta)
-                xi = model.extra_map(xi, x, u, delta)
+            if full_plant:
+                x, xi = model.target_map(x, xi, u, delta), model.extra_map(xi, x, u, delta)
             else:
-                x_next = model.reduced_map(x, u, delta)
-        x = x_next
-        t_done = t + 1
+                x = model.reduced_map(x, u, delta)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
             diverged = True
-            diverged_at = t
             break
-
-        z_shifted = warm_start_shift(z, m)
         try:
-            if strategy.solver_kind == "suboptimal":
-                state = solver_map(spec, model, solver_config, x, z_shifted)
-            else:
-                state = solve_optimal(spec, model, solver_config, x, z_shifted)
+            state = update(spec, model, solver_config, x, warm_start_shift(z, m))
         except FloatingPointError:
             # prediction rollout overflowed: the loop has left any sane region
             diverged = True
-            diverged_at = t
             break
         z = state.z
-        cols["solver_iters"][t] = state.iterations_used
-        cols["pg_norm"][t] = state.projected_gradient_norm
+        iters[t], pg[t] = state.iterations_used, state.projected_gradient_norm
 
-    kept = slice(0, t_done if not diverged else diverged_at + 1)
-    idx = np.arange(steps)[kept]
-    final_xi = xi if strategy.plant_kind == "full_order" else model.equilibrium_map(xs[idx[-1]], us[idx[-1]])
+    T = t + 1
+    xs, xis, us = xs[:T], xis[:T], us[:T]
+    x_star = model.x_star
+    err = xs - x_star
+    with np.errstate(over="ignore", invalid="ignore"):
+        err_norm = _norms(err)
+        for k in np.flatnonzero(np.isinf(err_norm)):  # squares overflowed; _norm rescales
+            err_norm[k] = _norm(err[k])
+        stage_cost = _quadratic(err, spec.state_weight) + _quadratic(us, spec.input_weight)
     return SimTrace(
         delta=delta,
         strategy=strategy,
-        step=idx,
-        time_s=cols["time_s"][kept],
-        x=xs[kept],
-        xi=xis[kept],
-        u=us[kept],
-        err_norm=cols["err_norm"][kept],
-        err_theta=cols["err_theta"][kept],
-        stage_cost=cols["stage_cost"][kept],
-        solver_iters=cols["solver_iters"][kept],
-        pg_norm=cols["pg_norm"][kept],
+        step=np.arange(T),
+        time_s=np.arange(T) * delta,
+        x=xs,
+        xi=xis,
+        u=us,
+        err_norm=err_norm,
+        err_theta=np.abs(err[:, 0]),
+        stage_cost=stage_cost,
+        solver_iters=iters[:T],
+        pg_norm=pg[:T],
         final_x=x.copy(),
-        final_xi=np.atleast_1d(final_xi).copy(),
+        final_xi=np.atleast_1d(xi if full_plant else xis[-1]).copy(),
         x_star=x_star.copy(),
         diverged=diverged,
-        diverged_at=diverged_at,
+        diverged_at=t if diverged else None,
     )
 
 
@@ -298,8 +282,7 @@ class ComparisonRow:
     r2: float
     mean_iters: float
     diverged: bool
-    mean_abs_err_theta: float
-    trace: SimTrace | None = None
+    trace: SimTrace
 
 
 def compare_strategies(
@@ -308,7 +291,6 @@ def compare_strategies(
     solver_config: SolverConfig,
     base_config: SimConfig,
     skip_fraction: float = 0.1,
-    keep_traces: bool = False,
 ) -> list[ComparisonRow]:
     """Run each strategy on each problem and tabulate errors and fitted rates.
 
@@ -342,8 +324,7 @@ def compare_strategies(
                     r2=r2,
                     mean_iters=trace.mean_solver_iters,
                     diverged=trace.diverged,
-                    mean_abs_err_theta=trace.mean_abs_err_theta,
-                    trace=trace if keep_traces else None,
+                    trace=trace,
                 )
             )
     return rows
@@ -353,52 +334,31 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_lines(path, lines) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_trace_csv(trace: SimTrace, path) -> None:
     """One row per step: pendulum-shaped schema (theta, omega, current, u)."""
     if trace.x.shape[1] != 2 or trace.xi.shape[1] != 1 or trace.u.shape[1] != 1:
         raise ValueError("trace CSV schema expects n=2, p=1, m=1 (pendulum layout)")
+    reals = np.column_stack(
+        [trace.time_s, trace.x, trace.xi, trace.u, trace.err_norm, trace.err_theta, trace.stage_cost]
+    )
     lines = [TRACE_HEADER]
-    for i in range(trace.step.size):
-        lines.append(
-            ",".join(
-                [
-                    str(int(trace.step[i])),
-                    _fmt(trace.time_s[i]),
-                    _fmt(trace.x[i, 0]),
-                    _fmt(trace.x[i, 1]),
-                    _fmt(trace.xi[i, 0]),
-                    _fmt(trace.u[i, 0]),
-                    _fmt(trace.err_norm[i]),
-                    _fmt(trace.err_theta[i]),
-                    _fmt(trace.stage_cost[i]),
-                    str(int(trace.solver_iters[i])),
-                    _fmt(trace.pg_norm[i]),
-                ]
-            )
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    for i, row in enumerate(reals):
+        cells = [str(int(trace.step[i])), *map(_fmt, row), str(int(trace.solver_iters[i])), _fmt(trace.pg_norm[i])]
+        lines.append(",".join(cells))
+    _write_lines(path, lines)
 
 
 def write_comparison_csv(rows: list[ComparisonRow], path) -> None:
     lines = [COMPARISON_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.delta),
-                    r.plant,
-                    r.solver,
-                    _fmt(r.final_err_theta),
-                    _fmt(r.rate_per_s),
-                    _fmt(r.r2),
-                    _fmt(r.mean_iters),
-                    str(int(r.diverged)),
-                ]
-            )
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        reals = map(_fmt, (r.final_err_theta, r.rate_per_s, r.r2, r.mean_iters))
+        lines.append(",".join([_fmt(r.delta), r.plant, r.solver, *reals, str(int(r.diverged))]))
+    _write_lines(path, lines)
 
 
 def write_gnuplot_script(path, trace_csv: str | None = None, comparison_csv: str | None = None) -> None:
@@ -428,5 +388,4 @@ def write_gnuplot_script(path, trace_csv: str | None = None, comparison_csv: str
             f"plot '{comparison_csv}' using 1:4 with points pt 7 title 'final error'",
             "unset logscale y",
         ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

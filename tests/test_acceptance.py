@@ -36,7 +36,7 @@ def report(num, ok, detail):
 def sweep_rows():
     base = SimConfig(delta=0.01, duration_s=10.0, x0=(1.0, 0.0))
     specs = [load_config().ocp_spec(d) for d in (0.01, 0.1, 0.2)]
-    rows = compare_strategies(PEND, specs, CFG, base, keep_traces=True)
+    rows = compare_strategies(PEND, specs, CFG, base)
     return {(r.delta, r.plant, r.solver): r for r in rows}
 
 
@@ -87,7 +87,7 @@ def test_criterion_02_small_delta_exponential_convergence():
 def test_criterion_03_mismatch_degrades_at_delta_01(sweep_rows):
     proposed = sweep_rows[(0.1, "full", "suboptimal")]
     benchmark = sweep_rows[(0.1, "reduced", "suboptimal")]
-    margin = proposed.mean_abs_err_theta - benchmark.mean_abs_err_theta
+    margin = proposed.trace.mean_abs_err_theta - benchmark.trace.mean_abs_err_theta
     bounded = (
         not proposed.diverged
         and not benchmark.diverged
@@ -98,8 +98,8 @@ def test_criterion_03_mismatch_degrades_at_delta_01(sweep_rows):
     assert report(
         3,
         ok,
-        f"time-avg |theta| proposed {proposed.mean_abs_err_theta:.4f} > reduced-plant "
-        f"{benchmark.mean_abs_err_theta:.4f} (margin {margin:.4f}), both bounded",
+        f"time-avg |theta| proposed {proposed.trace.mean_abs_err_theta:.4f} > reduced-plant "
+        f"{benchmark.trace.mean_abs_err_theta:.4f} (margin {margin:.4f}), both bounded",
     )
 
 
@@ -108,16 +108,16 @@ def test_criterion_04_only_optimal_recovers_at_delta_02(sweep_rows):
     sub_full = sweep_rows[(0.2, "full", "suboptimal")]
     sub_red = sweep_rows[(0.2, "reduced", "suboptimal")]
     smallest = (
-        opt.mean_abs_err_theta < sub_full.mean_abs_err_theta
-        and opt.mean_abs_err_theta < sub_red.mean_abs_err_theta
+        opt.trace.mean_abs_err_theta < sub_full.trace.mean_abs_err_theta
+        and opt.trace.mean_abs_err_theta < sub_red.trace.mean_abs_err_theta
     )
     degradation = max(sub_full.rate_per_s, sub_red.rate_per_s) >= 0.5 * opt.rate_per_s
     ok = smallest and degradation
     assert report(
         4,
         ok,
-        f"time-avg |theta|: optimal {opt.mean_abs_err_theta:.4f} < suboptimal "
-        f"({sub_full.mean_abs_err_theta:.4f}, {sub_red.mean_abs_err_theta:.4f}); "
+        f"time-avg |theta|: optimal {opt.trace.mean_abs_err_theta:.4f} < suboptimal "
+        f"({sub_full.trace.mean_abs_err_theta:.4f}, {sub_red.trace.mean_abs_err_theta:.4f}); "
         f"rates: optimal {opt.rate_per_s:.3f}/s, suboptimal ({sub_full.rate_per_s:.3f}, {sub_red.rate_per_s:.3f})/s",
     )
 

@@ -1,10 +1,12 @@
-"""The names the benchmark calls and wraps must exist in the library.
+"""The names the benchmark calls and wraps must exist in the library, and its outputs must pass its checks.
 
 ``perfbench/tracing.py`` wraps redmpc functions and plant methods by name, and
 ``perfbench/workloads.py`` builds and runs its workloads through the config
 loader, the ``Config`` methods, ``simulate``, ``full_certificate`` and the CLI;
-a name that disappears would only fail a benchmark run. The tracer module is
-loaded from its file and only read.
+a name that disappears would only fail a benchmark run. One round of each
+workload is run here and its outputs checked with the benchmark's own checks,
+so a change that would make a benchmark run report incorrect outputs fails
+here first. The benchmark's modules are loaded from their files and only read.
 """
 
 import importlib
@@ -16,17 +18,17 @@ import pytest
 from redmpc.config import load_config
 from redmpc.plant import ActuatedPendulum
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACING_MODULE = load_tracing()
+TRACING_MODULE = load_perfbench("tracing")
 
 
 @pytest.mark.parametrize(
@@ -59,3 +61,16 @@ def test_workload_name_is_callable(module, attr):
 @pytest.mark.parametrize("method", CONFIG_METHODS)
 def test_config_method_is_callable(method):
     assert callable(getattr(load_config(), method))
+
+
+@pytest.mark.parametrize("name", load_perfbench("run").WORKLOADS)
+def test_workload_round_passes_its_checks(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports checks.py by its bare name
+    workload = load_perfbench("workloads").WORKLOADS[name](1, str(tmp_path))
+    try:
+        workload.setup()
+        _, units = workload.run_round(0)
+        assert units > 0
+        assert workload.check() == []
+    finally:
+        workload.close()

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from redmpc.config import load_config
+from redmpc.ocp import horizon_for_delta
 from redmpc.plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams, _as_vector, validate_delta
+from redmpc.simulate import SimConfig
 
 PEND = ActuatedPendulum()
 
@@ -147,6 +151,19 @@ class TestValidation:
             validate_delta(PEND, -0.01)
         with pytest.raises(ValueError, match="delta_max"):
             validate_delta(PEND, 2.0)
+
+    # every caller that takes a timescale applies the one finite-and-positive rule
+    DELTA_CALLERS = {
+        "OcpSpec": lambda delta: dataclasses.replace(load_config().ocp_spec(0.1), delta=delta),
+        "SimConfig": lambda delta: SimConfig(delta=delta),
+        "horizon_for_delta": lambda delta: horizon_for_delta(delta, 0.5),
+    }
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("caller", sorted(DELTA_CALLERS))
+    def test_delta_must_be_finite_and_positive(self, caller, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            self.DELTA_CALLERS[caller](delta)
 
     def test_params_must_be_positive(self):
         with pytest.raises(ValueError, match="strictly positive"):

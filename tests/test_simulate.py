@@ -1,10 +1,11 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 
 from redmpc.config import load_config
-from redmpc.plant import ActuatedPendulum, LinearTwoTimescale
+from redmpc.plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams
 from redmpc.ocp import OcpSpec, SolverConfig, solve_optimal
 from redmpc.simulate import (
     COMPARISON_HEADER,
@@ -13,6 +14,7 @@ from redmpc.simulate import (
     SimConfig,
     SimTrace,
     Strategy,
+    _norm,
     compare_strategies,
     fit_rate,
     simulate,
@@ -44,6 +46,7 @@ def synthetic_trace(errors, delta=0.01):
         pg_norm=np.zeros(n),
         final_x=np.array([e[-1], 0.0]),
         final_xi=np.zeros(1),
+        x_star=np.zeros(2),
     )
 
 
@@ -80,6 +83,26 @@ class TestFitRate:
         e = np.where(t < 50, 1.0, 2.0 * 0.9 ** (t - 0.0))
         fit = fit_rate(synthetic_trace(e), skip_fraction=0.5)
         assert fit.rate_per_step == pytest.approx(np.log(0.9), abs=1e-9)
+
+
+def diverging_linear_run():
+    """Arguments of ``simulate`` for a linear plant whose slow state overflows within a few steps."""
+    blowup = LinearTwoTimescale(a_slow=1e200, b_slow=0.0, c_slow=1.0, s_fast=0.0, e_fast=0.0)
+    spec = OcpSpec(
+        horizon_N=2,
+        state_weight=np.eye(1),
+        input_weight=np.eye(1),
+        terminal_weight=np.eye(1),
+        input_box=(np.array([-1.0]), np.array([1.0])),
+        delta=0.5,
+    )
+    return blowup, spec, CFG, SimConfig(delta=0.5, duration_s=5.0, x0=(1.0,), xi0=(0.0,))
+
+
+def test_package_attribute_is_the_module():
+    import redmpc.simulate as module
+
+    assert isinstance(module, types.ModuleType)
 
 
 class TestSimulate:
@@ -119,19 +142,10 @@ class TestSimulate:
             simulate(PEND, spec, CFG, cfg)
 
     def test_divergence_truncates_and_flags(self):
-        blowup = LinearTwoTimescale(a_slow=1e200, b_slow=0.0, c_slow=1.0, s_fast=0.0, e_fast=0.0)
-        spec = OcpSpec(
-            horizon_N=2,
-            state_weight=np.eye(1),
-            input_weight=np.eye(1),
-            terminal_weight=np.eye(1),
-            input_box=(np.array([-1.0]), np.array([1.0])),
-            delta=0.5,
-        )
-        cfg = SimConfig(delta=0.5, duration_s=5.0, x0=(1.0,), xi0=(0.0,))
-        trace = simulate(blowup, spec, CFG, cfg)
+        args = diverging_linear_run()
+        trace = simulate(*args)
         assert trace.diverged
-        assert trace.step.size < cfg.steps
+        assert trace.step.size < args[-1].steps
 
     def test_reduced_plant_records_equilibrium_current(self):
         spec = load_config().ocp_spec(0.1)
@@ -149,6 +163,46 @@ class TestSimulate:
             for i in trace.step
         ]
         assert max(lags) > 1e-3  # mismatch is what the reduced model ignores
+
+
+class TestDerivedColumns:
+    """The columns computed after the loop equal their per-row definitions, bit for bit."""
+
+    @staticmethod
+    def assert_rows_match(trace, spec):
+        Q, Rw = spec.state_weight, spec.input_weight
+        assert np.array_equal(trace.step, np.arange(trace.step.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in trace.step:
+                e, u = trace.x[k] - trace.x_star, trace.u[k]
+                assert trace.time_s[k] == k * trace.delta
+                assert trace.err_norm[k] == _norm(e)
+                assert trace.err_theta[k] == abs(trace.x[k, 0] - trace.x_star[0])
+                assert trace.stage_cost[k] == float(e @ Q @ e) + float(u @ Rw @ u)
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_pendulum_strategies(self, strategy):
+        spec = load_config().ocp_spec(0.1)
+        trace = simulate(PEND, spec, CFG, SimConfig(delta=0.1, duration_s=2.0, strategy=STRATEGIES[strategy]))
+        self.assert_rows_match(trace, spec)
+
+    def test_diverging_linear_run(self):
+        _, spec, _, _ = args = diverging_linear_run()
+        trace = simulate(*args)
+        assert trace.diverged
+        self.assert_rows_match(trace, spec)
+
+    def test_overflowing_pendulum_run(self):
+        # a fast loop that does not contract: the states reach ~1e300 before the
+        # run diverges, so squared norms overflow and the rows take the hypot path
+        with pytest.warns(UserWarning, match="does not contract"):
+            model = ActuatedPendulum(PendulumParams(L_tilde=0.1))
+        spec = load_config().ocp_spec(0.01)
+        trace = simulate(model, spec, CFG, SimConfig(delta=0.01, duration_s=6.0))
+        assert trace.diverged
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.linalg.norm(trace.x, axis=1)).any()
+        self.assert_rows_match(trace, spec)
 
 
 class TestStrategy:
