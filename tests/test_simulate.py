@@ -173,7 +173,7 @@ class TestDerivedColumns:
         Q, Rw = spec.state_weight, spec.input_weight
         assert np.array_equal(trace.step, np.arange(trace.step.size))
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in trace.step:
+            for k in range(trace.step.size):
                 e, u = trace.x[k] - trace.x_star, trace.u[k]
                 assert trace.time_s[k] == k * trace.delta
                 assert trace.err_norm[k] == _norm(e)
