@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .plant import PlantModel
+from .plant import PlantModel, _check_range
 from .ocp import (
     OcpSpec,
     SolverConfig,
@@ -66,15 +66,14 @@ class CertificationError(ValueError):
 class SamplingPlan:
     """Sample counts, ranges, and the safety factor applied to sampled constants.
 
-    State/input ranges cover the benchmark saturation bound with margin.
+    The model supplies the state ranges (``PlantModel.state_box``); the
+    others cover the benchmark saturation bound with margin.
     ``state_ball`` bounds the states at which the optimizer's minimizer is
     evaluated; error samples for the boundary layer live in balls of radius
     ``error_ball`` with norms bounded away from zero by ``error_min_norm``.
     """
 
     seed: int = 0
-    theta_range: tuple[float, float] = (-math.pi, math.pi)
-    omega_range: tuple[float, float] = (-10.0, 10.0)
     xi_range: tuple[float, float] = (-40.0, 40.0)
     u_range: tuple[float, float] = (-24.0, 24.0)
     lipschitz_pairs: int = 2000
@@ -96,33 +95,25 @@ class SamplingPlan:
     delta_cap: float = 0.2
 
     def __post_init__(self):
-        counts = (
-            "lipschitz_pairs", "equilibrium_samples", "fast_samples", "n_states",
-            "optimizer_pairs_per_state", "boundary_samples", "n_value_states", "map_pairs",
-            "closed_loop_samples", "multistart_states",
-        )
-        # One start per state only finds its own minimizer (spread 0 proves
-        # nothing); a safety factor below 1 deflates the sampled Lipschitz bounds.
-        least = dict.fromkeys(counts, 1) | {"multistart_points": 2, "safety_factor": 1}
+        # Every count needs one sample. One start per state only finds its own
+        # minimizer (spread 0 proves nothing); a safety factor below 1 deflates
+        # the sampled Lipschitz bounds.
+        counts = [f.name for f in fields(self) if type(f.default) is int]
+        least = dict.fromkeys(counts, 1) | {"seed": 0, "multistart_points": 2, "safety_factor": 1}
         for name, minimum in least.items():
-            if not getattr(self, name) >= minimum:
-                raise ValueError(f"{name} must be at least {minimum}, got {getattr(self, name)}")
+            _check_range(name, getattr(self, name), minimum, closed=True)
         for name in ("state_ball", "error_ball", "near_eq_ball", "delta_cap"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 <= self.error_min_norm < self.error_ball:
-            raise ValueError(f"error_min_norm must lie in [0, error_ball), got {self.error_min_norm}")
+            _check_range(name, getattr(self, name))
+        _check_range("error_min_norm", self.error_min_norm, 0.0, self.error_ball, closed=True)
 
     def box(self, model: PlantModel, *parts: str) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper corners of the sampled box over ``parts``, concatenated in order.
 
-        Each part is "x" (plant state), "xi" (extra state) or "u" (input). A
-        two-state plant samples its state from ``theta_range`` x
-        ``omega_range``; any other plant from +-4 ``state_ball`` per component.
+        Each part is "x" (plant state, over the model's ``state_box``), "xi"
+        (extra state) or "u" (input).
         """
-        ball = 4.0 * self.state_ball
-        x = [self.theta_range, self.omega_range] if model.n == 2 else [(-ball, ball)] * model.n
-        ranges = {"x": x, "xi": [self.xi_range] * model.p, "u": [self.u_range] * model.m}
+        xi, u = [self.xi_range] * model.p, [self.u_range] * model.m
+        ranges = {"x": model.state_box(self.state_ball), "xi": xi, "u": u}
         lo, hi = np.array([r for part in parts for r in ranges[part]], dtype=float).T
         return lo, hi
 
@@ -577,6 +568,11 @@ def closed_loop_decrease_check(
     about x* (``near_eq_ball``) and the error balls. The minimizers at the
     sampled states, and then at their successors, come from one batched
     cold-started solve each.
+
+    The optimizer update differs from ``simulate``'s: here ``iterate_map``
+    runs at the old state x from the unshifted z, there at the new state
+    from ``warm_start_shift(z)``. With this update the simulated loop stops
+    converging at delta 0.1 and 0.2, so only this check can change to match.
     """
     rng = np.random.default_rng(plan.seed + 2)
     spec_d = replace(spec, delta=delta)

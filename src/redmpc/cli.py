@@ -125,7 +125,7 @@ def cmd_certify(args) -> int:
     spec = config.ocp_spec(model=model)
     solver_config, plan = config.solver_config(), config.sampling_plan()
     out = _prepare_out(args, config, "certify")
-    report = full_certificate(model, spec, solver_config, plan, check_closed_loop=config.check_closed_loop)
+    report = full_certificate(model, spec, solver_config, plan)
     with open(os.path.join(out, "certificate.txt"), "w") as fh:
         fh.write(report.to_text() + "\n")
     with open(os.path.join(out, "certificate.json"), "w") as fh:

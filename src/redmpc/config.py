@@ -10,11 +10,11 @@ prediction window).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams, PlantModel, validate_delta
+from .plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams, PlantModel, _check_range, validate_delta
 from .ocp import OcpSpec, SolverConfig, horizon_for_delta
 from .simulate import STRATEGIES, SimConfig, Strategy
 from .certify import SamplingPlan
@@ -55,19 +55,15 @@ def _checked(build):
     return checked
 
 
+def _fields(cls, *keys: str) -> dict[str, tuple]:
+    """``key -> (type of its default, default)`` for the named fields of the dataclass ``cls``."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return {key: (type(defaults[key]), defaults[key]) for key in keys}
+
+
 # section -> key -> (parser, default)
-DEFAULTS: dict[str, dict[str, tuple] ] = {
-    "pendulum": {
-        "l": (float, 1.0),
-        "mass": (float, 0.5),
-        "beta": (float, 0.5),
-        "J": (float, 0.5),
-        "K_t": (float, 0.4),
-        "K_e": (float, 0.4),
-        "R_ohm": (float, 0.6),
-        "L_tilde": (float, 1.0),
-        "grav": (float, 9.81),
-    },
+DEFAULTS: dict[str, dict[str, tuple]] = {
+    "pendulum": _fields(PendulumParams, "l", "mass", "beta", "J", "K_t", "K_e", "R_ohm", "L_tilde", "grav"),
     "ocp": {
         "delta": (float, 0.01),
         "horizon_steps": (str, "auto"),
@@ -79,15 +75,10 @@ DEFAULTS: dict[str, dict[str, tuple] ] = {
         "qf_omega": (float, 0.1),
         "u_max": (float, 24.0),
     },
-    "solver": {
-        "iters_per_sample": (int, 1),
-        "step_rule": (str, "backtracking"),
-        "alpha0": (float, 1.0),
-        "shrink": (float, 0.5),
-        "armijo_c": (float, 1e-4),
-        "optimal_tol": (float, 1e-8),
-        "max_optimal_iters": (int, 100_000),
-    },
+    "solver": _fields(
+        SolverConfig,
+        "iters_per_sample", "step_rule", "alpha0", "shrink", "armijo_c", "optimal_tol", "max_optimal_iters",
+    ),
     "sim": {
         "duration_s": (float, 10.0),
         "theta0": (float, 1.0),
@@ -98,25 +89,13 @@ DEFAULTS: dict[str, dict[str, tuple] ] = {
     },
     "certify": {
         "model": (_one_of("model", ("pendulum", "linear")), "pendulum"),
-        "seed": (int, 0),
-        "lipschitz_pairs": (int, 2000),
-        "equilibrium_samples": (int, 10_000),
-        "fast_samples": (int, 2000),
-        "n_states": (int, 25),
-        "optimizer_pairs_per_state": (int, 44),
-        "boundary_samples": (int, 10_000),
-        "n_value_states": (int, 160),
-        "map_pairs": (int, 200),
-        "closed_loop_samples": (int, 1000),
-        "multistart_states": (int, 4),
-        "multistart_points": (int, 8),
-        "safety_factor": (float, 1.5),
-        "delta_cap": (float, 0.2),
-        "state_ball": (float, 1.0),
-        "error_ball": (float, 1.0),
-        "error_min_norm": (float, 0.05),
-        "near_eq_ball": (float, 0.5),
-        "check_closed_loop": (int, 1),
+        **_fields(
+            SamplingPlan,
+            "seed", "lipschitz_pairs", "equilibrium_samples", "fast_samples", "n_states", "optimizer_pairs_per_state",
+            "boundary_samples", "n_value_states", "map_pairs", "closed_loop_samples", "multistart_states",
+            "multistart_points", "safety_factor", "delta_cap", "state_ball", "error_ball", "error_min_norm",
+            "near_eq_ball",
+        ),
     },
 }
 
@@ -164,8 +143,7 @@ class Config:
 
     @_checked
     def pendulum_params(self) -> PendulumParams:
-        p = self.values["pendulum"]
-        return PendulumParams(**{k: float(v) for k, v in p.items()})
+        return PendulumParams(**self.values["pendulum"])
 
     def model(self) -> PlantModel:
         if self.values["certify"]["model"] == "linear":
@@ -213,6 +191,7 @@ class Config:
     @_checked
     def sim_config(self, delta: float | None = None, strategy: str | None = None) -> SimConfig:
         s = self.values["sim"]
+        _check_range("skip_fraction", s["skip_fraction"], 0.0, 1.0, closed=True)
         delta = validate_delta(self.sim_model(), self.values["ocp"]["delta"] if delta is None else delta)
         name = str(s["strategy"]) if strategy is None else _strategy(strategy)
         return SimConfig(
@@ -225,18 +204,14 @@ class Config:
 
     @_checked
     def sampling_plan(self) -> SamplingPlan:
-        """The plan from every [certify] key but ``model`` and ``check_closed_loop``, inputs within +-u_max."""
+        """The plan from every [certify] key but ``model``, inputs within +-u_max."""
         u_max = float(self.values["ocp"]["u_max"])
-        keys = DEFAULTS["certify"].keys() - {"model", "check_closed_loop"}
+        keys = DEFAULTS["certify"].keys() - {"model"}
         return SamplingPlan(u_range=(-u_max, u_max), **{key: self.values["certify"][key] for key in keys})
 
     @property
     def skip_fraction(self) -> float:
         return float(self.values["sim"]["skip_fraction"])
-
-    @property
-    def check_closed_loop(self) -> bool:
-        return bool(int(self.values["certify"]["check_closed_loop"]))
 
 
 def load_config(path: str | None = None, overrides: dict[str, dict[str, str]] | None = None) -> Config:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import PlantModel, _check_delta
+from .plant import PlantModel, _check_range
 
 __all__ = [
     "OcpSpec",
@@ -40,6 +40,8 @@ __all__ = [
 
 def _check_symmetric(mat: np.ndarray, name: str, tol: float = 1e-12) -> np.ndarray:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} must be finite, got {mat.tolist()}")
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
     if np.max(np.abs(mat - mat.T), initial=0.0) > tol:
@@ -63,8 +65,7 @@ class OcpSpec:
     delta: float
 
     def __post_init__(self):
-        if self.horizon_N < 1:
-            raise ValueError(f"horizon_N must be >= 1, got {self.horizon_N}")
+        _check_range("horizon_N", self.horizon_N, 1, closed=True)
         object.__setattr__(self, "state_weight", _check_symmetric(self.state_weight, "state_weight"))
         object.__setattr__(self, "input_weight", _check_symmetric(self.input_weight, "input_weight"))
         object.__setattr__(self, "terminal_weight", _check_symmetric(self.terminal_weight, "terminal_weight"))
@@ -72,10 +73,10 @@ class OcpSpec:
         hi = np.atleast_1d(np.asarray(self.input_box[1], dtype=float))
         if lo.shape != hi.shape:
             raise ValueError("input_box lo/hi must have matching shapes")
-        if np.any(lo > hi):
-            raise ValueError(f"input_box requires lo <= hi componentwise, got lo={lo}, hi={hi}")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.all(lo <= hi)):
+            raise ValueError(f"input_box must be finite with lo <= hi componentwise, got lo={lo}, hi={hi}")
         object.__setattr__(self, "input_box", (lo, hi))
-        object.__setattr__(self, "delta", _check_delta(self.delta))
+        object.__setattr__(self, "delta", _check_range("delta", self.delta))
 
     @property
     def m(self) -> int:
@@ -100,18 +101,14 @@ class SolverConfig:
     max_optimal_iters: int = 100_000
 
     def __post_init__(self):
-        if self.iters_per_sample < 1:
-            raise ValueError("iters_per_sample must be a positive integer")
         if self.step_rule not in ("backtracking", "fixed"):
             raise ValueError(f"step_rule must be 'backtracking' or 'fixed', got {self.step_rule!r}")
-        if self.alpha0 <= 0.0:
-            raise ValueError("alpha0 must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be a positive integer")
-        if self.optimal_tol <= 0.0:
-            raise ValueError("optimal_tol must be positive")
+        for name in ("iters_per_sample", "max_backtracks", "max_optimal_iters"):
+            _check_range(name, getattr(self, name), 1, closed=True)
+        for name in ("alpha0", "optimal_tol"):
+            _check_range(name, getattr(self, name))
+        for name in ("shrink", "armijo_c"):
+            _check_range(name, getattr(self, name), 0.0, 1.0)
 
 
 @dataclass
@@ -136,7 +133,7 @@ def horizon_for_delta(delta: float, window_s: float) -> int:
     Rounds half away from zero so the window/delta ratio 2.5 yields 3 steps,
     with a floor of 2 steps.
     """
-    return max(2, int(math.floor(window_s / _check_delta(delta) + 0.5)))
+    return max(2, int(math.floor(_check_range("horizon_window_s", window_s) / _check_range("delta", delta) + 0.5)))
 
 
 def _check_z(spec: OcpSpec, z) -> np.ndarray:

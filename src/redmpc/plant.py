@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,16 +41,20 @@ def _as_vector(v, dim: int, name: str) -> np.ndarray:
     return arr
 
 
-def _check_delta(delta: float) -> float:
-    """The timescale as a float; it must be finite and positive."""
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be positive, got {delta}")
-    return delta
+def _check_range(name: str, value, low: float = 0.0, high: float = math.inf, closed: bool = False) -> float:
+    """Setting ``name`` as a float: finite, above ``low`` (or equal to it when ``closed``) and below ``high``."""
+    number = float(value)
+    if not (math.isfinite(number) and (low <= number if closed else low < number) and number < high):
+        if high < math.inf:
+            bounds = f"lie in {'[' if closed else '('}{low:g}, {high:g})"
+        else:
+            bounds = f"be at least {low:g}" if closed else "be positive" if low == 0.0 else f"exceed {low:g}"
+        raise ValueError(f"{name} must {bounds}, got {value}")
+    return number
 
 
 def validate_delta(model: "PlantModel", delta: float) -> float:
-    delta = _check_delta(delta)
+    delta = _check_range("delta", delta)
     if delta >= model.delta_max:
         raise ValueError(f"delta must be < delta_max={model.delta_max}, got {delta}")
     return delta
@@ -78,10 +82,8 @@ class PendulumParams:
     grav: float = 9.81      # gravitational acceleration [m/s^2]
 
     def __post_init__(self):
-        for name in ("l", "mass", "beta", "J", "K_t", "K_e", "R_ohm", "L_tilde", "grav"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"pendulum parameter {name} must be strictly positive, got {value}")
+        for f in fields(self):
+            _check_range(f.name, getattr(self, f.name))
         if self.L_tilde <= self.R_ohm / 2.0:
             # Fast-subsystem contraction fails; keep the model constructible so
             # the certification pipeline can report the failure on its merits.
@@ -97,9 +99,10 @@ class PlantModel:
 
     Concrete models provide the maps ``target_map`` (f), ``extra_map`` (g),
     ``equilibrium_map`` (xi_eq) and their Jacobians, plus dimensions
-    ``n, p, m``, the equilibrium state ``x_star`` and analytic
-    Lipschitz constants where closed forms exist. All maps are pure
-    functions; a model instance may be shared read-only across threads.
+    ``n, p, m``, the equilibrium state ``x_star``, analytic Lipschitz
+    constants where closed forms exist, and the ``state_box`` that
+    certification samples from. All maps are pure functions; a model instance
+    may be shared read-only across threads.
 
     Every map and Jacobian takes a leading batch shape ``(...)``: ``x`` is an
     ``(..., n)`` array, ``xi`` ``(..., p)`` and ``u`` ``(..., m)``, all with the
@@ -145,6 +148,10 @@ class PlantModel:
         """Jacobians of the equilibrium map: (dxi_eq/dx, dxi_eq/du)."""
         raise NotImplementedError
 
+    def state_box(self, state_ball: float) -> list[tuple[float, float]]:
+        """Per-component (lo, hi) range that certification samples states from: +-4 ``state_ball``."""
+        return [(-4.0 * state_ball, 4.0 * state_ball)] * self.n
+
     def reduced_map(self, x: np.ndarray, u: np.ndarray, delta) -> np.ndarray:
         """Slow dynamics on the fast equilibrium manifold (by composition)."""
         return self.target_map(x, self.equilibrium_map(x, u), u, delta)
@@ -179,6 +186,10 @@ class ActuatedPendulum(PlantModel):
         self.lip_target_fast = p.K_t / p.J
         self.lip_extra = max(abs(1.0 - p.R_ohm / p.L_tilde), p.K_e / p.L_tilde, 1.0 / p.L_tilde)
         self.lip_equilibrium = max(1.0, p.K_e) / p.R_ohm
+
+    def state_box(self, state_ball):
+        """One full turn of angle by +-10 rad/s of angular velocity, whatever ``state_ball``."""
+        return [(-math.pi, math.pi), (-10.0, 10.0)]
 
     def target_map(self, x, xi, u, delta):
         p = self.params
@@ -254,8 +265,7 @@ class LinearTwoTimescale(PlantModel):
         e_fast: float = 0.5,
         delta_max: float = 1.0,
     ):
-        if not abs(rho) < 1.0:
-            raise ValueError(f"fast pole rho must satisfy |rho| < 1, got {rho}")
+        _check_range("rho", rho, -1.0, 1.0)
         self.a_slow = float(a_slow)
         self.b_slow = float(b_slow)
         self.c_slow = float(c_slow)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .plant import PlantModel, _as_vector, _check_delta
+from .plant import PlantModel, _as_vector, _check_range
 from .ocp import (
     OcpSpec,
     SolverConfig,
@@ -88,9 +88,11 @@ class SimConfig:
     strategy: Strategy = STRATEGIES["proposed"]
 
     def __post_init__(self):
-        if self.duration_s <= 0.0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
-        _check_delta(self.delta)
+        for name in ("delta", "duration_s"):
+            _check_range(name, getattr(self, name))
+        for name in ("x0", "xi0"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} contains non-finite entries: {getattr(self, name)}")
 
     @property
     def steps(self) -> int:
@@ -243,8 +245,7 @@ def fit_rate(trace: SimTrace, skip_fraction: float = 0.1) -> RateFit:
     positive error samples are kept. Refuses (raises ValueError) with fewer
     than 10 usable samples.
     """
-    if not 0.0 <= skip_fraction < 1.0:
-        raise ValueError(f"skip_fraction must lie in [0, 1), got {skip_fraction}")
+    skip_fraction = _check_range("skip_fraction", skip_fraction, 0.0, 1.0, closed=True)
     e = trace.err_theta
     t = trace.step.astype(float)
     start = int(skip_fraction * e.size)

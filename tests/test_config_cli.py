@@ -153,29 +153,56 @@ class TestCliConfigErrors:
         assert "config error:" in capsys.readouterr().err
         assert not (out / "manifest.txt").exists()
 
-    @pytest.mark.parametrize(
-        "argv", [["simulate"], ["compare"], ["sweep", "--deltas", "0.1"], ["certify"]], ids=lambda a: a[0]
-    )
-    @pytest.mark.parametrize(
-        "text",
-        ["[solver]\nshrink = 2\n", "[pendulum]\nmass = -1\n", "[ocp]\ndelta = 2.0\n"],
-        ids=["shrink", "mass", "delta"],
-    )
-    def test_rejected_value(self, tmp_path, capsys, text, argv):
-        self.assert_config_error(tmp_path, capsys, text, argv)
+    COMMANDS = {
+        "simulate": ["simulate"], "compare": ["compare"], "sweep": ["sweep", "--deltas", "0.1"], "certify": ["certify"]
+    }
+    SIM_READERS = ("simulate", "compare", "sweep")  # certify does not read [sim]
+    # probe -> (config text, the commands that read its section)
+    REJECTED = {
+        "shrink": ("[solver]\nshrink = 2\n", COMMANDS),
+        "mass": ("[pendulum]\nmass = -1\n", COMMANDS),
+        "delta": ("[ocp]\ndelta = 2.0\n", COMMANDS),
+        "alpha0_nan": ("[solver]\nalpha0 = nan\n", COMMANDS),
+        "alpha0_inf": ("[solver]\nalpha0 = inf\n", COMMANDS),
+        "optimal_tol_nan": ("[solver]\noptimal_tol = nan\n", COMMANDS),
+        "armijo_c_negative": ("[solver]\narmijo_c = -1\n", COMMANDS),
+        "armijo_c_nan": ("[solver]\narmijo_c = nan\n", COMMANDS),
+        "max_optimal_iters": ("[solver]\nmax_optimal_iters = -3\n", COMMANDS),
+        "duration_s_nan": ("[sim]\nduration_s = nan\n", SIM_READERS),
+        "duration_s_inf": ("[sim]\nduration_s = inf\n", SIM_READERS),
+        "theta0_nan": ("[sim]\ntheta0 = nan\n", SIM_READERS),
+        "skip_fraction_2": ("[sim]\nskip_fraction = 2\n", SIM_READERS),
+        "skip_fraction_nan": ("[sim]\nskip_fraction = nan\n", SIM_READERS),
+        "u_max_nan": ("[ocp]\nu_max = nan\n", COMMANDS),
+        "u_max_inf": ("[ocp]\nu_max = inf\n", COMMANDS),
+        "q_theta_nan": ("[ocp]\nq_theta = nan\n", COMMANDS),
+        "horizon_window_s_inf": ("[ocp]\nhorizon_window_s = inf\n", COMMANDS),
+    }
+    CASES = [(probe, command) for probe, (_, commands) in REJECTED.items() for command in commands]
+
+    @pytest.mark.parametrize("probe,command", CASES, ids=[f"{probe}-{command}" for probe, command in CASES])
+    def test_rejected_value(self, tmp_path, capsys, probe, command):
+        self.assert_config_error(tmp_path, capsys, self.REJECTED[probe][0], self.COMMANDS[command])
 
     @pytest.mark.parametrize(
-        "text",
+        "text,flags",
         [
-            "[certify]\nn_states = 0\n",
-            "[certify]\nn_value_states = 0\n",
-            "[certify]\nmultistart_points = 1\n",
-            "[certify]\nsafety_factor = 0.5\n",
+            ("[certify]\nn_states = 0\n", []),
+            ("[certify]\nn_value_states = 0\n", []),
+            ("[certify]\nmultistart_points = 1\n", []),
+            ("[certify]\nsafety_factor = 0.5\n", []),
+            ("[certify]\nstate_ball = inf\n", []),
+            ("[certify]\nerror_ball = inf\n", []),
+            ("[certify]\ndelta_cap = inf\n", []),
+            ("", ["--seed", "-1"]),
         ],
-        ids=["n_states", "n_value_states", "multistart_points", "safety_factor"],
+        ids=[
+            "n_states", "n_value_states", "multistart_points", "safety_factor",
+            "state_ball", "error_ball", "delta_cap", "seed",
+        ],
     )
-    def test_rejected_sampling_plan(self, tmp_path, capsys, text):
-        self.assert_config_error(tmp_path, capsys, text, ["certify"])
+    def test_rejected_sampling_plan(self, tmp_path, capsys, text, flags):
+        self.assert_config_error(tmp_path, capsys, text, ["certify", *flags])
 
     def test_swept_delta_at_delta_max(self, tmp_path, capsys):
         self.assert_config_error(tmp_path, capsys, "", ["sweep", "--deltas", "0.1,1.0"])

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from redmpc.certify import SamplingPlan
 from redmpc.config import load_config
-from redmpc.ocp import horizon_for_delta
+from redmpc.ocp import SolverConfig, horizon_for_delta
 from redmpc.plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams, _as_vector, validate_delta
 from redmpc.simulate import SimConfig
 
@@ -166,8 +167,25 @@ class TestValidation:
             self.DELTA_CALLERS[caller](delta)
 
     def test_params_must_be_positive(self):
-        with pytest.raises(ValueError, match="strictly positive"):
+        with pytest.raises(ValueError, match="must be positive"):
             PendulumParams(J=-1.0)
+
+    # every float field of the settings dataclasses; a SimConfig also needs its timescale
+    FLOAT_SETTINGS = [
+        (cls, f.name)
+        for cls in (PendulumParams, SolverConfig, SamplingPlan, SimConfig)
+        for f in dataclasses.fields(cls)
+        if f.type == "float"
+    ]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "cls,name", FLOAT_SETTINGS, ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_SETTINGS]
+    )
+    def test_float_setting_must_be_finite(self, cls, name, value):
+        required = {"delta": 0.1} if cls is SimConfig else {}
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            cls(**(required | {name: value}))
 
     def test_slow_inductance_warns(self):
         with pytest.warns(UserWarning, match="does not contract"):
