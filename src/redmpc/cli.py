@@ -99,6 +99,8 @@ def _run_comparison(args, deltas: list[float] | None, command: str) -> int:
     model = config.sim_model()
     specs = [config.ocp_spec(delta, model) for delta in deltas or [None]]
     solver_config, sim_config = config.solver_config(), config.sim_config()
+    for spec in specs:  # the step count at each timescale, checked before any output
+        config.sim_config(spec.delta)
     out = _prepare_out(args, config, command)
     rows = compare_strategies(model, specs, solver_config, sim_config, config.skip_fraction)
     write_comparison_csv(rows, os.path.join(out, "comparison.csv"))

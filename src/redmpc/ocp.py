@@ -1,11 +1,12 @@
-"""Finite-horizon optimal control over the reduced model, solved by projected gradient.
+"""Finite-horizon optimal control over the reduced model, solved by projected gradient and projected Newton.
 
 The decision vector ``z`` stacks the input sequence ``(u_0, ..., u_{N-1})``
 row-major, so ``z`` has length ``N * m``. The per-sample suboptimal update
 (``solver_map``) runs a fixed budget of projected gradient iterations; the
-benchmark (``solve_optimal``) iterates projected gradient steps with spectral
-(Barzilai-Borwein) step lengths until the projected-gradient norm meets a
-tolerance.
+benchmark (``solve_optimal``) iterates projected Newton steps on the
+Gauss-Newton Hessian of the objective (Bertsekas, "Projected Newton methods
+for optimization problems with simple constraints", SIAM J. Control Optim.
+20(2), 1982) until the projected-gradient norm meets a tolerance.
 
 Every function here solves one problem, or a batch of B problems when ``x0``
 and ``z`` carry a leading axis of B lanes. Each lane is computed by the same
@@ -30,6 +31,7 @@ __all__ = [
     "rollout",
     "cost",
     "gradient",
+    "gauss_newton_hessian",
     "project_box",
     "iterate_map",
     "solver_map",
@@ -38,7 +40,12 @@ __all__ = [
     "warm_start_shift",
 ]
 
-def _check_symmetric(mat: np.ndarray, name: str, tol: float = 1e-12) -> np.ndarray:
+def _check_symmetric(mat: np.ndarray, name: str, definite: bool, tol: float = 1e-12) -> np.ndarray:
+    """``mat`` as a finite square float matrix, symmetric within ``tol``.
+
+    Its smallest eigenvalue must be at least ``-tol`` (positive semidefinite),
+    or above ``tol`` when ``definite`` (positive definite).
+    """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if not np.isfinite(mat).all():
         raise ValueError(f"{name} must be finite, got {mat.tolist()}")
@@ -46,6 +53,11 @@ def _check_symmetric(mat: np.ndarray, name: str, tol: float = 1e-12) -> np.ndarr
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
     if np.max(np.abs(mat - mat.T), initial=0.0) > tol:
         raise ValueError(f"{name} must be symmetric within {tol}")
+    lowest = float(np.linalg.eigvalsh(mat)[0])
+    if definite and lowest <= tol:
+        raise ValueError(f"{name} must be positive definite (smallest eigenvalue above {tol:g}), got {lowest:g}")
+    if lowest < -tol:
+        raise ValueError(f"{name} must be positive semidefinite (smallest eigenvalue at least {-tol:g}), got {lowest:g}")
     return mat
 
 
@@ -66,9 +78,8 @@ class OcpSpec:
 
     def __post_init__(self):
         _check_range("horizon_N", self.horizon_N, 1, closed=True)
-        object.__setattr__(self, "state_weight", _check_symmetric(self.state_weight, "state_weight"))
-        object.__setattr__(self, "input_weight", _check_symmetric(self.input_weight, "input_weight"))
-        object.__setattr__(self, "terminal_weight", _check_symmetric(self.terminal_weight, "terminal_weight"))
+        for name in ("state_weight", "input_weight", "terminal_weight"):
+            object.__setattr__(self, name, _check_symmetric(getattr(self, name), name, name == "input_weight"))
         lo = np.atleast_1d(np.asarray(self.input_box[0], dtype=float))
         hi = np.atleast_1d(np.asarray(self.input_box[1], dtype=float))
         if lo.shape != hi.shape:
@@ -93,7 +104,7 @@ class SolverConfig:
 
     iters_per_sample: int = 1
     step_rule: str = "backtracking"      # "backtracking" or "fixed"
-    alpha0: float = 1.0
+    alpha0: float = 1.0                  # first trial step of every line search (1: the full Newton step in solve_optimal)
     shrink: float = 0.5
     armijo_c: float = 1e-4
     max_backtracks: int = 30
@@ -131,9 +142,10 @@ def horizon_for_delta(delta: float, window_s: float) -> int:
     """Number of prediction steps covering a horizon window of ``window_s`` seconds.
 
     Rounds half away from zero so the window/delta ratio 2.5 yields 3 steps,
-    with a floor of 2 steps.
+    with a floor of 2 steps. The ratio must stay below 1e6 steps.
     """
-    return max(2, int(math.floor(_check_range("horizon_window_s", window_s) / _check_range("delta", delta) + 0.5)))
+    ratio = _check_range("horizon_window_s", window_s) / _check_range("delta", delta)
+    return max(2, int(math.floor(_check_range("horizon_window_s / delta", ratio, high=1e6) + 0.5)))
 
 
 def _check_z(spec: OcpSpec, z) -> np.ndarray:
@@ -222,15 +234,23 @@ def _value(spec: OcpSpec, states: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.cumsum(terms, axis=1)[:, N]
 
 
-def _adjoint(spec: OcpSpec, model: PlantModel, states: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _jacobians(spec: OcpSpec, model: PlantModel, states: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per lane: the reduced-map Jacobians ``(A_tau, B_tau)`` along all N steps of a rollout already taken.
+
+    They come from one ``reduced_jacobians`` call on the stacked rollout.
+    """
+    N, m = spec.horizon_N, spec.m
+    return model.reduced_jacobians(states[:, :N], z.reshape(len(z), N, m), spec.delta)
+
+
+def _adjoint(spec: OcpSpec, model: PlantModel, states: np.ndarray, z: np.ndarray, jacobians=None) -> np.ndarray:
     """Per lane: objective gradient w.r.t. z by the reverse sweep along a rollout already taken.
 
-    The Jacobians along all N steps of every lane come from one
-    ``reduced_jacobians`` call on the stacked rollout.
+    ``jacobians`` are the rollout's ``_jacobians`` when the caller has them.
     """
     N, m = spec.horizon_N, spec.m
     u = z.reshape(len(z), N, m)
-    jac_x, jac_u = model.reduced_jacobians(states[:, :N], u, spec.delta)
+    jac_x, jac_u = _jacobians(spec, model, states, z) if jacobians is None else jacobians
     jac_x_t = jac_x.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         state_terms = 2.0 * (spec.state_weight @ states[:, :N, :, None])  # column tau: 2 Q x_tau
@@ -244,6 +264,34 @@ def _adjoint(spec: OcpSpec, model: PlantModel, states: np.ndarray, z: np.ndarray
         lane = int(np.argmin(np.isfinite(lam).all(axis=(1, 2))))
         raise FloatingPointError(f"gradient overflow: non-finite adjoint in lane {lane}")
     return grad.reshape(len(z), N * m)
+
+
+def _hessian(spec: OcpSpec, jac_x: np.ndarray, jac_u: np.ndarray) -> np.ndarray:
+    """Per lane: the Gauss-Newton Hessian of the objective from the Jacobians along a rollout.
+
+    The sensitivities ``S_tau = dx_tau/dz`` follow the rollout from ``S_0 = 0``
+    by ``S_{tau+1} = A_tau S_tau + B_tau E_tau``, where ``E_tau`` picks ``u_tau``
+    out of ``z``; then ``H = 2 sum_tau S_tau' W_tau S_tau + 2 (I_N kron R)``,
+    with ``W_tau = Q`` for ``tau < N`` and ``Q_f`` at ``tau = N``. ``H`` drops
+    only the second derivatives of the reduced map, so it is exact for a
+    linear model, and it is positive definite whenever ``Q`` and ``Q_f`` are
+    PSD and ``R`` is PD.
+    """
+    N, m = spec.horizon_N, spec.m
+    lanes, n = len(jac_x), jac_x.shape[-1]
+    sens = np.zeros((lanes, N, n, N * m))  # row tau: S_{tau+1}, whose columns past block tau are zero
+    sens[:, 0, :, :m] = jac_u[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a lane whose sensitivities overflow holds non-finite values
+        for tau in range(1, N):
+            np.matmul(jac_x[:, tau], sens[:, tau - 1], out=sens[:, tau])
+            sens[:, tau, :, tau * m : (tau + 1) * m] = jac_u[:, tau]
+        weighted = np.empty_like(sens)
+        weighted[:, : N - 1] = spec.state_weight @ sens[:, : N - 1]
+        weighted[:, N - 1] = spec.terminal_weight @ sens[:, N - 1]
+        flat = sens.reshape(lanes, N * n, N * m)
+        return 2.0 * (flat.swapaxes(-1, -2) @ weighted.reshape(lanes, N * n, N * m)) + np.kron(
+            np.eye(N), 2.0 * spec.input_weight
+        )
 
 
 def cost(spec: OcpSpec, model: PlantModel, x0, z):
@@ -264,6 +312,16 @@ def gradient(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
     return grad if batched else grad[0]
 
 
+def gauss_newton_hessian(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
+    """Gauss-Newton Hessian of the objective w.r.t. z, ``(N*m, N*m)``; one matrix per lane for a batch.
+
+    It is the Hessian ``solve_optimal`` steps with, exact for a linear model.
+    """
+    x0, z, batched = _lanes(spec, model, x0, z)
+    hess = _hessian(spec, *_jacobians(spec, model, _checked(_rollout(spec, model, x0, z)), z))
+    return hess if batched else hess[0]
+
+
 def _project(spec: OcpSpec, z: np.ndarray) -> np.ndarray:
     """``project_box`` of sequences already checked."""
     lo, hi = spec.input_box
@@ -281,25 +339,32 @@ def _pg_norm(spec: OcpSpec, z: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _armijo_backtrack(
-    spec: OcpSpec, model: PlantModel, x0, z, g, j_ref, alpha, config: SolverConfig, noise_floor=-math.inf
+    spec: OcpSpec, model: PlantModel, x0, z, g, step, j_ref, alpha, config: SolverConfig, noise_floor=-math.inf
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Armijo backtracking along the projection arc ``project_box(z - alpha * g)``, lane by lane.
+    """Armijo backtracking along the projection arc ``project_box(z - alpha * step)``, lane by lane.
 
     Each lane shrinks its own ``alpha`` until its trial point's cost lies
-    sufficiently below its ``j_ref`` or its predicted decrease is at or below
-    its ``noise_floor`` (the resolution of a cost evaluation); a trial whose
-    prediction overflows fails. Each trial is rolled out once, and later
+    below its ``j_ref`` by ``armijo_c * g . (z - trial)``, with ``g`` the
+    gradient at ``z``, or that predicted decrease is at or below its
+    ``noise_floor`` (the resolution of a cost evaluation). A trial whose
+    prediction overflows fails, and so does one whose predicted decrease is
+    negative: a gradient step never predicts one, but the box can bend a
+    Newton step uphill. Each trial is rolled out once, and later
     trials roll out only the lanes still searching. Returns each lane's last
     trial point, its cost and rollout, and whether the lane accepted it.
     """
     alpha, j_ref, noise_floor = (np.full(len(z), v, dtype=float) for v in (alpha, j_ref, noise_floor))
     lanes = None  # the lanes still searching, once some have stopped, in the rows of x0, z, ...
     for _ in range(config.max_backtracks):
-        candidate = _project(spec, z - alpha[:, None] * g)
+        candidate = _project(spec, z - alpha[:, None] * step)
         decrease = config.armijo_c * _dot(g, z - candidate)
         trial = _rollout(spec, model, x0, candidate)
         j_cand = _value(spec, trial, candidate)
-        ok = np.isfinite(trial).all(axis=(1, 2)) & ((j_cand <= j_ref - decrease) | (decrease <= noise_floor))
+        ok = (
+            np.isfinite(trial).all(axis=(1, 2))
+            & (decrease >= 0.0)
+            & ((j_cand <= j_ref - decrease) | (decrease <= noise_floor))
+        )
         if lanes is None:
             points, values, states, accepted = candidate, j_cand, trial, ok
         else:
@@ -308,7 +373,7 @@ def _armijo_backtrack(
             break
         searching = ~ok
         lanes = np.flatnonzero(searching) if lanes is None else lanes[searching]
-        x0, z, g, j_ref, noise_floor = (v[searching] for v in (x0, z, g, j_ref, noise_floor))
+        x0, z, g, step, j_ref, noise_floor = (v[searching] for v in (x0, z, g, step, j_ref, noise_floor))
         alpha = alpha[searching] * config.shrink
     return points, values, states, accepted
 
@@ -344,7 +409,7 @@ def iterate_map(
             z, states = _project(spec, z - config.alpha0 * g), None
             continue
         j = _value(spec, states, z)
-        points, _, trials, ok = _armijo_backtrack(spec, model, x0, z, g, j, config.alpha0, config)
+        points, _, trials, ok = _armijo_backtrack(spec, model, x0, z, g, g, j, config.alpha0, config)
         z[ok], states[ok] = points[ok], trials[ok]
         rejected += int(np.count_nonzero(~ok))
     if batched:
@@ -381,13 +446,20 @@ def _optimizer_state(batched: bool, z, iterations, pg, converged, rejected) -> O
 def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_init) -> OptimizerState:
     """Solve-to-tolerance benchmark for the problem's minimizer.
 
-    Iterates projected gradient steps with spectral (Barzilai-Borwein) step
-    lengths, safeguarded by a nonmonotone (watchdog over the last 10 values)
-    backtracking line search, until the projected-gradient norm drops below
-    ``config.optimal_tol`` or the iteration budget is spent. A result that
-    misses the tolerance is returned with ``converged=False``, never silently.
+    Iterates Bertsekas's projected Newton method ("Projected Newton methods
+    for optimization problems with simple constraints", SIAM J. Control Optim.
+    20(2), 1982) with the Gauss-Newton Hessian ``H`` of ``gauss_newton_hessian``
+    until the projected-gradient norm drops below ``config.optimal_tol`` or
+    the iteration budget is spent. Each iteration takes as active the inputs
+    within the projected-gradient norm of a bound whose gradient points out
+    of the box; the free inputs F take the Newton step ``H_FF^-1 g_F`` and the
+    active ones the gradient step. A monotone Armijo search along the
+    projection arc, from ``alpha0`` (1 is the full Newton step), accepts the
+    step; a lane with no acceptable step is at its numerical floor and stops.
+    A result that misses the tolerance is returned with ``converged=False``,
+    never silently.
 
-    A batch solves every lane with its own step length, value window and
+    A batch solves every lane with its own active set, line search and
     stopping rule; a lane that stops leaves the batch while the others
     iterate. Its result holds one row of ``z`` and one projected-gradient norm
     per lane; ``iterations_used`` is the iterations the batch ran (its longest
@@ -397,21 +469,21 @@ def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_
     x0, z, batched = _lanes(spec, model, x0, z_init)
     z = _project(spec, z)
     states = _checked(_rollout(spec, model, x0, z))
-    g = _adjoint(spec, model, states, z)
-    recent = np.repeat(_value(spec, states, z)[:, None], 10, axis=1)  # each lane's last 10 values
+    jac = _jacobians(spec, model, states, z)
+    g, j = _adjoint(spec, model, states, z, jac), _value(spec, states, z)
     pg = _pg_norm(spec, z, g)
-    alpha = np.full(len(z), config.alpha0)
-    alpha_lo, alpha_hi = 1e-10, 1e10
+    lo, hi = (np.tile(bound, spec.horizon_N) for bound in spec.input_box)
     resolution = 64.0 * np.finfo(float).eps
     z_out, pg_out = np.empty_like(z), np.empty_like(pg)
     lanes = np.arange(len(z))  # the lanes still iterating, in the rows of the arrays above
 
     def retire(done: np.ndarray) -> None:
         """Record the result of the lanes ``done`` and keep the rows of the others."""
-        nonlocal lanes, x0, z, g, pg, alpha, recent
+        nonlocal lanes, x0, z, g, j, pg, jac
         z_out[lanes[done]], pg_out[lanes[done]] = z[done], pg[done]
         keep = ~done
-        lanes, x0, z, g, pg, alpha, recent = (v[keep] for v in (lanes, x0, z, g, pg, alpha, recent))
+        lanes, x0, z, g, j, pg = (v[keep] for v in (lanes, x0, z, g, j, pg))
+        jac = tuple(v[keep] for v in jac)
 
     iters = rejected = 0
     while True:
@@ -421,27 +493,29 @@ def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_
         if not lanes.size:
             break
         iters += 1
-        j_ref = recent.max(axis=1)
+        # Newton step on the free inputs and gradient step on the active ones:
+        # H with the active rows and columns replaced by those of the identity.
+        # A lane whose H overflowed takes the gradient step on every input.
+        hess = _hessian(spec, *jac)
+        hess[~np.isfinite(hess).all(axis=(1, 2))] = np.eye(z.shape[1])
+        active = ((z <= lo + pg[:, None]) & (g > 0.0)) | ((z >= hi - pg[:, None]) & (g < 0.0))
+        hess[active[:, :, None] | active[:, None, :]] = 0.0
+        hess.reshape(len(z), -1)[:, :: z.shape[1] + 1][active] = 1.0
+        step = np.linalg.solve(hess, g[..., None])[..., 0]
         # Accept on sufficient decrease, or unconditionally once the
         # predicted decrease is below cost-evaluation resolution.
-        noise_floor = resolution * np.maximum(1.0, np.abs(j_ref))
-        z_new, j_new, states, ok = _armijo_backtrack(spec, model, x0, z, g, j_ref, alpha, config, noise_floor)
+        noise_floor = resolution * np.maximum(1.0, np.abs(j))
+        z_new, j_new, states, ok = _armijo_backtrack(
+            spec, model, x0, z, g, step, j, config.alpha0, config, noise_floor
+        )
         if not ok.all():  # no acceptable step: those lanes are at the numerical floor
             rejected += int(np.count_nonzero(~ok))
             z_new, j_new, states = z_new[ok], j_new[ok], states[ok]
             retire(~ok)
             if not lanes.size:
                 break
-        g_new = _adjoint(spec, model, states, z_new)
-        s = z_new - z
-        y = g_new - g
-        sy = _dot(s, y)
-        # BB1 step length for the next iteration, clipped to a sane range.
-        curved = sy > 0.0
-        alpha = np.full(len(z), config.alpha0)
-        alpha[curved] = np.minimum(np.maximum(_dot(s, s)[curved] / sy[curved], alpha_lo), alpha_hi)
-        z, g = z_new, g_new
-        recent[:, (iters - 1) % 10] = j_new
+        jac = _jacobians(spec, model, states, z_new)
+        z, j, g = z_new, j_new, _adjoint(spec, model, states, z_new, jac)
         pg = _pg_norm(spec, z, g)
     return _optimizer_state(batched, z_out, iters, pg_out, np.all(pg_out <= config.optimal_tol), rejected)
 

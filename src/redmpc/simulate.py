@@ -90,12 +90,14 @@ class SimConfig:
     def __post_init__(self):
         for name in ("delta", "duration_s"):
             _check_range(name, getattr(self, name))
+        _check_range("duration_s / delta", self.duration_s / self.delta, high=1e7)
         for name in ("x0", "xi0"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} contains non-finite entries: {getattr(self, name)}")
 
     @property
     def steps(self) -> int:
+        """Closed-loop steps covering ``duration_s``, at least 1; ``duration_s / delta`` must stay below 1e7."""
         return max(1, int(math.floor(self.duration_s / self.delta + 0.5)))
 
 

@@ -504,21 +504,31 @@ class TestClosedLoopDecrease:
         assert res.worst_margin > 0.0
 
 
-def starved_linear_case():
+def linear_case():
     plan = SamplingPlan(
         equilibrium_samples=300, fast_samples=200, lipschitz_pairs=100, n_states=4, optimizer_pairs_per_state=5,
         boundary_samples=40, n_value_states=12, map_pairs=8, closed_loop_samples=10, multistart_states=2,
         multistart_points=3, u_range=(-10.0, 10.0), xi_range=(-10.0, 10.0),
     )
-    return LinearTwoTimescale(), linear_spec(), SolverConfig(iters_per_sample=40, max_optimal_iters=3), plan
+    return LinearTwoTimescale(), linear_spec(), SolverConfig(iters_per_sample=40), plan
+
+
+def starved_case(max_optimal_iters, seed=0):
+    """The benchmark plan under a solve budget; each run reaches the closed-loop check."""
+    plan = dataclasses.replace(BENCH_PLAN, seed=seed)
+    return PEND, load_config().ocp_spec(0.01), SolverConfig(max_optimal_iters=max_optimal_iters), plan
 
 
 CASES = {
     "benchmark-plan": lambda: (PEND, load_config().ocp_spec(0.01), CFG, BENCH_PLAN),
     "early-exit": contraction_boundary_case,
-    "budget-starved": starved_linear_case,
+    "linear": linear_case,
+    # too few iterations for a minimizer lane and for a value lane
+    "budget-starved": lambda: starved_case(6),
     # enough iterations for the minimizer lanes, too few for some value lane
-    "value-lanes-starved": lambda: (PEND, load_config().ocp_spec(0.01), SolverConfig(max_optimal_iters=50), BENCH_PLAN),
+    "value-lanes-starved": lambda: starved_case(5, seed=9),
+    # enough iterations for the value lanes, too few for some minimizer lane
+    "minimizer-lanes-starved": lambda: starved_case(6, seed=10),
 }
 
 
@@ -562,10 +572,14 @@ class TestOneColdSolve:
         failed = {v.name for v in batched.verdicts if not v.passed}
         # each solve verdict reads the lanes of its own stage
         solve_verdicts = failed & {"minimizer-solves", "reduced-value-solves"}
+        if case.endswith("starved"):
+            assert batched.verdicts[-1].name == "closed-loop-decrease"
         if case == "budget-starved":
             assert solve_verdicts == {"minimizer-solves", "reduced-value-solves"}
         if case == "value-lanes-starved":
             assert solve_verdicts == {"reduced-value-solves"}
+        if case == "minimizer-lanes-starved":
+            assert solve_verdicts == {"minimizer-solves"}
         if case == "early-exit":
             assert batched.verdicts[-1].name == "composite-weight" and "reduced-value-solves" not in failed
 

@@ -177,12 +177,22 @@ class TestCliConfigErrors:
         "u_max_inf": ("[ocp]\nu_max = inf\n", COMMANDS),
         "q_theta_nan": ("[ocp]\nq_theta = nan\n", COMMANDS),
         "horizon_window_s_inf": ("[ocp]\nhorizon_window_s = inf\n", COMMANDS),
+        "q_theta_negative": ("[ocp]\nq_theta = -5\n", COMMANDS),
+        "qf_omega_negative": ("[ocp]\nqf_omega = -1\n", COMMANDS),
+        "r_input_zero": ("[ocp]\nr_input = 0\n", COMMANDS),
+        # window/delta and duration/delta overflow to inf
+        "horizon_window_s_huge": ("[ocp]\nhorizon_window_s = 1e307\n", COMMANDS),
+        "duration_s_huge": ("[sim]\nduration_s = 1e308\n", SIM_READERS),
     }
     CASES = [(probe, command) for probe, (_, commands) in REJECTED.items() for command in commands]
 
     @pytest.mark.parametrize("probe,command", CASES, ids=[f"{probe}-{command}" for probe, command in CASES])
     def test_rejected_value(self, tmp_path, capsys, probe, command):
         self.assert_config_error(tmp_path, capsys, self.REJECTED[probe][0], self.COMMANDS[command])
+
+    def test_step_count_checked_at_each_swept_timescale(self, tmp_path, capsys):
+        # 1e4 s is 1e6 steps at the configured 0.01 but 1e7, over the bound, at the swept 0.001
+        self.assert_config_error(tmp_path, capsys, "[sim]\nduration_s = 1e4\n", ["sweep", "--deltas", "0.01,0.001"])
 
     @pytest.mark.parametrize(
         "text,flags",

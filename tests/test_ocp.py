@@ -10,6 +10,7 @@ from redmpc.ocp import (
     SolverConfig,
     cost,
     first_input,
+    gauss_newton_hessian,
     gradient,
     horizon_for_delta,
     iterate_map,
@@ -47,6 +48,12 @@ class TestHorizonRule:
     def test_half_rounds_up(self):
         assert horizon_for_delta(0.2, self.WINDOW_S) == 3  # 0.5/0.2 = 2.5
 
+    @pytest.mark.parametrize("window_s,delta", [(1e307, 0.01), (1e3, 1e-4)])
+    def test_step_count_bounded(self, window_s, delta):
+        # 1e309 overflows to inf; 1e7 is finite but over the 1e6-step bound
+        with pytest.raises(ValueError, match="horizon_window_s / delta"):
+            horizon_for_delta(delta, window_s)
+
 
 class TestSpecValidation:
     def test_horizon_positive(self):
@@ -74,6 +81,36 @@ class TestSpecValidation:
                 input_box=(np.array([-1.0]), np.array([1.0])),
                 delta=0.01,
             )
+
+
+    @staticmethod
+    def weighted(state_weight, input_weight, terminal_weight):
+        return OcpSpec(
+            horizon_N=2,
+            state_weight=state_weight,
+            input_weight=input_weight,
+            terminal_weight=terminal_weight,
+            input_box=(np.array([-1.0]), np.array([1.0])),
+            delta=0.01,
+        )
+
+    @pytest.mark.parametrize(
+        "name,weights",
+        [
+            ("state_weight", (np.diag([-5.0, 1.0]), np.eye(1), np.eye(2))),
+            ("terminal_weight", (np.eye(2), np.eye(1), np.array([[1.0, 2.0], [2.0, 1.0]]))),  # eigenvalues -1, 3
+            ("input_weight", (np.eye(2), np.zeros((1, 1)), np.eye(2))),
+            ("input_weight", (np.eye(2), -np.eye(1), np.eye(2))),
+        ],
+        ids=["state-negative", "terminal-indefinite", "input-zero", "input-negative"],
+    )
+    def test_weights_must_be_definite(self, name, weights):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            self.weighted(*weights)
+
+    def test_semidefinite_state_weights_accepted(self):
+        spec = self.weighted(np.zeros((2, 2)), np.array([[1e-6]]), np.diag([1.0, 0.0]))
+        assert spec.n == 2 and spec.m == 1
 
 
 class TestSolverConfigValidation:
@@ -202,12 +239,12 @@ class TestProjection:
             assert np.array_equal(project_box(spec, once), once)
 
 
-# x1 = x0 + u over one step and cost (x0 + u)^2: from x0 = -c the toy (u - c)^2
+# x1 = x0 + u over one step and cost u^2 + (x0 + u)^2: from x0 = -2c the toy 2 (u - c)^2 + 2 c^2
 TOY = LinearTwoTimescale(a_slow=0.0, b_slow=0.0, c_slow=2.0, s_fast=0.0, e_fast=0.0)
 TOY_SPEC = OcpSpec(
     horizon_N=1,
     state_weight=np.zeros((1, 1)),
-    input_weight=np.zeros((1, 1)),
+    input_weight=np.eye(1),
     terminal_weight=np.eye(1),
     input_box=(np.array([-24.0]), np.array([24.0])),
     delta=0.5,
@@ -216,7 +253,7 @@ TOY_SPEC = OcpSpec(
 
 class TestIterateMap:
     def test_fixed_step_toy(self):
-        # cost (u-1)^2, one fixed step alpha=0.25 from 0: u <- 0 - 0.25*(-2) = 0.5
+        # cost u^2 + (u-1)^2, one fixed step alpha=0.25 from 0: u <- 0 - 0.25*(-2) = 0.5
         cfg = SolverConfig(step_rule="fixed", alpha0=0.25)
         z, rejected, states = iterate_map(TOY_SPEC, TOY, cfg, [-1.0], [0.0])
         assert z[0] == pytest.approx(0.5, abs=1e-15)
@@ -242,11 +279,11 @@ class TestIterateMap:
         return z
 
     def test_unconstrained_toy_minimizer(self):
-        assert self._solve_toy([-1.0])[0] == pytest.approx(1.0, abs=1e-8)
+        assert self._solve_toy([-2.0])[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_active_bound_toy_minimizer(self):
-        # cost (u-30)^2 over |u| <= 24: constrained minimizer at the bound
-        assert self._solve_toy([-30.0])[0] == pytest.approx(24.0, abs=1e-12)
+        # cost 2 (u-30)^2 + const over |u| <= 24: constrained minimizer at the bound
+        assert self._solve_toy([-60.0])[0] == pytest.approx(24.0, abs=1e-12)
 
     def test_returns_rollout_of_result(self):
         spec = load_config().ocp_spec(0.1)
@@ -296,6 +333,41 @@ class TestSolveOptimal:
         res = solve_optimal(spec, PEND, tight, [0.9, 0.0], np.zeros(50))
         assert not res.converged
         assert res.iterations_used == 2
+
+
+    def test_cost_never_rises(self):
+        # a cold start from the state box whose fourth Newton step the box bends uphill: the full
+        # step predicts a negative decrease, and taking it would raise the cost by 6.7
+        spec = load_config().ocp_spec(0.01)
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            x0, z0 = np.c_[rng.uniform(-np.pi, np.pi, 30), rng.uniform(-10, 10, 30)], rng.uniform(-36, 36, (30, 50))
+        x0, z0 = x0[18], z0[18]
+        values = [cost(spec, PEND, x0, project_box(spec, z0))] + [
+            cost(spec, PEND, x0, solve_optimal(spec, PEND, SolverConfig(max_optimal_iters=k), x0, z0).z)
+            for k in range(1, 8)
+        ]
+        # near the minimizer a step is accepted once its predicted decrease is below cost resolution
+        resolution = 64.0 * np.finfo(float).eps
+        assert all(later <= earlier * (1.0 + resolution) for earlier, later in zip(values, values[1:]))
+
+    def test_overflowing_hessian_takes_the_gradient_step(self):
+        # S_tau grows as 5001^tau, so H overflows; the gradient step's trials overflow and are rejected
+        blowup = LinearTwoTimescale(a_slow=1e4, b_slow=0.0, c_slow=1.0, s_fast=0.0, e_fast=0.0)
+        spec = OcpSpec(
+            horizon_N=90,
+            state_weight=np.eye(1),
+            input_weight=np.eye(1),
+            terminal_weight=np.array([[1e-200]]),
+            input_box=(np.array([-1.0]), np.array([1.0])),
+            delta=0.5,
+        )
+        z = np.zeros(90)
+        z[-1] = 0.5
+        assert not np.isfinite(gauss_newton_hessian(spec, blowup, [0.0], z)).all()
+        res = solve_optimal(spec, blowup, CFG, [0.0], z)
+        assert np.array_equal(res.z, z)
+        assert (res.iterations_used, res.rejected_steps, res.converged) == (1, 1, False)
 
 
 class TestSolverMap:
@@ -409,7 +481,8 @@ class CountingPendulum(ActuatedPendulum):
 class TestEvaluationCounts:
     """Each evaluated point is rolled out once (N reduced_map calls) and an accepted
     trial's rollout is reused; each gradient takes one reduced_jacobians call for
-    the whole horizon, and a batch makes the calls of one lane."""
+    the whole horizon, which a projected Newton iteration's Hessian shares, and a
+    batch makes the calls of one lane."""
 
     SPEC = load_config().ocp_spec(0.01)  # N = 50
     X0 = [0.3, -0.2]
@@ -434,13 +507,27 @@ class TestEvaluationCounts:
         assert rejected == 0
         assert (model.maps, model.jacobians) == (100, 1)
 
+    def assert_solve_counts(self, x0, z):
+        model = CountingPendulum()
+        out = solve_optimal(self.SPEC, model, CFG, x0, z)
+        assert out.converged and out.rejected_steps == 0 and out.iterations_used >= 3
+        # the start, then per iteration one trial (the full step) and the Jacobians at the accepted trial
+        assert (model.maps, model.jacobians) == (50 * (1 + out.iterations_used), 1 + out.iterations_used)
 
-def reference_armijo(spec, model, x0, z, g, j_ref, alpha, config, noise_floor=-np.inf):
+    def test_solve_optimal(self):
+        self.assert_solve_counts(self.X0, np.zeros(50))
+
+    def test_solve_optimal_batch_makes_the_calls_of_one_lane(self):
+        # lanes that converge after 3, 3 and 4 iterations
+        self.assert_solve_counts([self.X0, [-0.3, 0.2], [0.5, -0.5]], np.zeros((3, 50)))
+
+
+def reference_armijo(spec, model, x0, z, g, step, j_ref, alpha, config, noise_floor=-np.inf):
     for _ in range(config.max_backtracks):
-        candidate = project_box(spec, z - alpha * g)
+        candidate = project_box(spec, z - alpha * step)
         decrease = float(g @ (z - candidate))
         j_cand = cost(spec, model, x0, candidate)
-        if j_cand <= j_ref - config.armijo_c * decrease or config.armijo_c * decrease <= noise_floor:
+        if decrease >= 0.0 and (j_cand <= j_ref - config.armijo_c * decrease or config.armijo_c * decrease <= noise_floor):
             return candidate, j_cand
         alpha *= config.shrink
     return None
@@ -454,7 +541,7 @@ def reference_iterate(spec, model, config, x0, z):
         if config.step_rule == "fixed":
             z = project_box(spec, z - config.alpha0 * g)
             continue
-        step = reference_armijo(spec, model, x0, z, g, cost(spec, model, x0, z), config.alpha0, config)
+        step = reference_armijo(spec, model, x0, z, g, g, cost(spec, model, x0, z), config.alpha0, config)
         if step is None:
             rejected += 1
         else:
@@ -470,27 +557,30 @@ def reference_solver_map(spec, model, config, x0, z):
 
 
 def reference_solve_optimal(spec, model, config, x0, z):
+    """Projected Newton on the Gauss-Newton Hessian: a Newton step on the free inputs, a gradient
+    step on those within the projected-gradient norm of a bound they press against."""
     z = project_box(spec, z)
-    g = gradient(spec, model, x0, z)
-    recent = [cost(spec, model, x0, z)]
+    lo, hi = (np.tile(bound, spec.horizon_N) for bound in spec.input_box)
+    g, j = gradient(spec, model, x0, z), cost(spec, model, x0, z)
     pg = float(np.linalg.norm(z - project_box(spec, z - g)))
     iters = rejected = 0
-    alpha = config.alpha0
     while pg > config.optimal_tol and iters < config.max_optimal_iters:
         iters += 1
-        j_ref = max(recent)
-        noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(j_ref))
-        step = reference_armijo(spec, model, x0, z, g, j_ref, alpha, config, noise_floor)
-        if step is None:
+        hess = gauss_newton_hessian(spec, model, x0, z)
+        if not np.isfinite(hess).all():
+            hess = np.eye(z.size)
+        active = np.flatnonzero(((z <= lo + pg) & (g > 0.0)) | ((z >= hi - pg) & (g < 0.0)))
+        hess[active, :] = 0.0
+        hess[:, active] = 0.0
+        hess[active, active] = 1.0
+        step = np.linalg.solve(hess, g)
+        noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(j))
+        trial = reference_armijo(spec, model, x0, z, g, step, j, config.alpha0, config, noise_floor)
+        if trial is None:
             rejected += 1
             break
-        z_new, j_new = step
-        g_new = gradient(spec, model, x0, z_new)
-        s, y = z_new - z, g_new - g
-        sy = float(s @ y)
-        alpha = min(max(float(s @ s) / sy, 1e-10), 1e10) if sy > 0.0 else config.alpha0
-        z, g = z_new, g_new
-        recent = (recent + [j_new])[-10:]
+        z, j = trial
+        g = gradient(spec, model, x0, z)
         pg = float(np.linalg.norm(z - project_box(spec, z - g)))
     return z, pg, iters, rejected, bool(pg <= config.optimal_tol)
 
@@ -550,8 +640,10 @@ class TestReferenceLoop:
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_solve_optimal(self, case):
-        # to tolerance; out of budget; a one-trial line search that stops the solve
-        for config in (SolverConfig(), SolverConfig(max_optimal_iters=7), SolverConfig(max_backtracks=1)):
+        # to tolerance; out of budget (the pendulum: one Newton step solves the linear problem);
+        # a one-trial line search from too long a step, which stops the solve
+        configs = (SolverConfig(), SolverConfig(max_optimal_iters=2), SolverConfig(alpha0=8.0, max_backtracks=1))
+        for config in configs:
             for spec, model, x0, z in self.samples(case, 15):
                 self.assert_same(
                     solve_optimal(spec, model, config, x0, z), reference_solve_optimal(spec, model, config, x0, z)
@@ -583,9 +675,44 @@ def loop_gradient(spec, model, x0, z):
     return grad.reshape(-1)
 
 
+def loop_hessian(spec, model, x0, z):
+    """Per-step reference: the sensitivities dx_tau/dz carried along by reduced_jacobians on (n,) vectors."""
+    states, inputs = loop_rollout(spec, model, x0, z), np.reshape(z, (spec.horizon_N, spec.m))
+    N, m = spec.horizon_N, spec.m
+    sens = np.zeros((model.n, N * m))
+    hess = 2.0 * np.kron(np.eye(N), spec.input_weight)
+    for tau in range(N):
+        jac_x, jac_u = model.reduced_jacobians(states[tau], inputs[tau], spec.delta)
+        sens = jac_x @ sens
+        sens[:, tau * m : (tau + 1) * m] += jac_u
+        weight = spec.terminal_weight if tau == N - 1 else spec.state_weight
+        hess += 2.0 * sens.T @ weight @ sens
+    return hess
+
+
+class TestGaussNewtonHessian:
+    @pytest.mark.parametrize("horizon", [5, 30])
+    def test_exact_for_linear_model(self, horizon):
+        # the gradient is affine in z, so its central differences are exact up to rounding
+        spec, model = dataclasses.replace(linear_case_spec(), horizon_N=horizon), LinearTwoTimescale()
+        rng = np.random.default_rng(19)
+        x0, z, h = rng.uniform(-1, 1, 1), rng.uniform(-15, 15, horizon), 1e-3
+        fd = np.array(
+            [(gradient(spec, model, x0, z + h * e) - gradient(spec, model, x0, z - h * e)) / (2 * h) for e in np.eye(horizon)]
+        )
+        hess = gauss_newton_hessian(spec, model, x0, z)
+        assert np.max(np.abs(hess - fd)) <= 1e-9 * np.max(np.abs(hess))
+
+    def test_positive_definite(self):
+        spec = load_config().ocp_spec(0.01)
+        hess = gauss_newton_hessian(spec, PEND, [0.9, -2.0], np.random.default_rng(20).uniform(-24, 24, 50))
+        assert np.linalg.eigvalsh(0.5 * (hess + hess.T))[0] >= 2.0 * spec.input_weight[0, 0] * (1 - 1e-12)
+
+
 class TestBatchAxis:
     """Lane k of a B-batch equals its B = 1 call bit for bit, and the batched
-    kernels match the per-step loops above to 1e-12 relative."""
+    kernels (the Gauss-Newton Hessian among them) match the per-step loops
+    above to 1e-12 relative."""
 
     LANES = 4
 
@@ -599,8 +726,9 @@ class TestBatchAxis:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_kernels(self, case):
         spec, model, x0, z = self.batch(case)
-        batched = {fn: fn(spec, model, x0, z) for fn in (rollout, cost, gradient)}
-        for fn, loop in ((rollout, loop_rollout), (cost, loop_cost), (gradient, loop_gradient)):
+        kernels = {rollout: loop_rollout, cost: loop_cost, gradient: loop_gradient, gauss_newton_hessian: loop_hessian}
+        batched = {fn: fn(spec, model, x0, z) for fn in kernels}
+        for fn, loop in kernels.items():
             assert np.shape(batched[fn]) == (self.LANES,) + np.shape(fn(spec, model, x0[0], z[0]))
             for k in range(self.LANES):
                 assert np.array_equal(batched[fn][k], fn(spec, model, x0[k], z[k]))
@@ -628,7 +756,7 @@ class TestBatchAxis:
 
     def test_solve_optimal_mixed_batch(self):
         # lanes that reach tolerance, stop at a rejected step, or run out of budget
-        spec, config = load_config().ocp_spec(0.1), SolverConfig(max_backtracks=2, max_optimal_iters=40)
+        spec, config = load_config().ocp_spec(0.1), SolverConfig(max_backtracks=1, max_optimal_iters=3)
         rng = np.random.default_rng(16)
         x0, z = rng.uniform(-1, 1, (12, 2)), rng.uniform(-36, 36, (12, 5))
         state = solve_optimal(spec, PEND, config, x0, z)

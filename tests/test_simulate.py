@@ -129,6 +129,12 @@ class TestSimulate:
         trace = simulate(PEND, spec, CFG, SimConfig(delta=0.1, duration_s=4.0))
         assert np.all(np.abs(trace.u) <= 24.0 + 1e-12)
 
+    @pytest.mark.parametrize("duration_s,delta", [(1e308, 0.01), (1e6, 1e-3)])
+    def test_step_count_bounded(self, duration_s, delta):
+        # 1e310 overflows to inf; 1e9 is finite but over the 1e7-step bound
+        with pytest.raises(ValueError, match="duration_s / delta"):
+            SimConfig(delta=delta, duration_s=duration_s)
+
     def test_delta_mismatch_rejected(self):
         spec = load_config().ocp_spec(0.1)
         with pytest.raises(ValueError, match="does not match"):
