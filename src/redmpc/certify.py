@@ -25,7 +25,7 @@ from .ocp import (
     SolverConfig,
     _dot,
     _norms,
-    cost,
+    cost,  # unused here, but the benchmark tracer wraps redmpc.certify.cost by name
     first_input,
     iterate_map,
     solve_optimal,
@@ -585,7 +585,7 @@ def closed_loop_decrease_check(
         if not sol.converged:
             x = xs[np.argmax(sol.projected_gradient_norm > solver_config.optimal_tol)]
             raise CertificationError(f"minimizer solve did not converge at state {x}")
-        return sol.z, cost(spec_d, model, xs, sol.z)
+        return sol.z, sol.value
 
     xs = model.x_star + _ball_samples(rng, n, count, plan.near_eq_ball, plan.near_eq_ball * 0.05)
     xi_errs = _ball_samples(rng, p, count, plan.error_ball, plan.error_min_norm)
@@ -825,7 +825,7 @@ def _minimizer_solves(model, spec, solver_config, plan, rng):
     its own solve would give. Returns the slow states and their minimizers,
     the optimizer-bound errors, the map-pair errors (dz_a, dz_b, dxi_a, dxi_b
     per pair), the multistart solves per probed state, and the value states
-    with their minimizers and projected-gradient norms.
+    with their minimizers, projected-gradient norms and optimal values.
     """
     n, p, nz = model.n, model.p, spec.horizon_N * model.m
     states = _ball_samples(rng, n, plan.n_states, plan.state_ball)
@@ -852,11 +852,13 @@ def _minimizer_solves(model, spec, solver_config, plan, rng):
     cuts = [len(states), len(states) + len(z_starts)]
     zstars, finals, value_zstars = np.split(sol.z, cuts)
     pg, _, value_pg = np.split(sol.projected_gradient_norm, cuts)
+    value_values = np.split(sol.value, cuts)[2]
     verdicts = []
     if not np.all(pg <= solver_config.optimal_tol):
         verdicts.append(Verdict("minimizer-solves", False, "solve-to-tolerance failed at a sampled state"))
     finals = finals.reshape(probed, starts, nz)
-    return (states, zstars, optimizer_errors, map_errors, finals, (value_states, value_zstars, value_pg)), verdicts
+    at_values = (value_states, value_zstars, value_pg, value_values)
+    return (states, zstars, optimizer_errors, map_errors, finals, at_values), verdicts
 
 
 def _optimizer_bounds(model, spec, solver_config, states, zstars, errors):
@@ -943,19 +945,18 @@ def _boundary_layer(model, spec, solver_config, plan, constants, fast_bounds, op
     return (rule, boundary), [Verdict("boundary-layer-decrease", boundary.passed, detail)]
 
 
-def _reduced_value(model, spec, solver_config, states, zstars, pg):
+def _reduced_value(model, spec, solver_config, states, zstars, pg, values):
     """c-constants of the reduced value function, the minimizer-map constant and the slow-drift ratio.
 
-    ``zstars`` are the cold-started minimizers at ``states`` and ``pg`` their
-    projected-gradient norms; the minimizers at the successors are
-    warm-started from them.
+    ``zstars`` are the cold-started minimizers at ``states``, ``pg`` their
+    projected-gradient norms and ``values`` the optimal values there; the
+    minimizers at the successors are warm-started from them.
     """
     delta, x_star, m = spec.delta, model.x_star, model.m
     count = len(states)
-    values = cost(spec, model, states, zstars)
     x_next = model.reduced_map(states, first_input(zstars, m), delta)
     sol_next = solve_optimal(spec, model, solver_config, x_next, zstars)
-    values_next = cost(spec, model, x_next, sol_next.z)
+    values_next = sol_next.value
     solves_ok = np.all(pg <= solver_config.optimal_tol) and sol_next.converged
     errs = _norms(states - x_star)
     with np.errstate(divide="ignore", invalid="ignore"):

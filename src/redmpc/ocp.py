@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "solve_optimal",
     "first_input",
     "warm_start_shift",
+    "shift_prediction",
 ]
 
 def _check_symmetric(mat: np.ndarray, name: str, definite: bool, tol: float = 1e-12) -> np.ndarray:
@@ -97,6 +99,11 @@ class OcpSpec:
     def n(self) -> int:
         return self.state_weight.shape[0]
 
+    @cached_property
+    def _input_hessian(self) -> np.ndarray:
+        """``2 (I_N kron R)``, the input-cost block of every Gauss-Newton Hessian; built on first use."""
+        return np.kron(np.eye(self.horizon_N), 2.0 * self.input_weight)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -124,11 +131,14 @@ class SolverConfig:
 
 @dataclass
 class OptimizerState:
-    """Stacked input sequence plus solver diagnostics.
+    """Stacked input sequence plus solver diagnostics and what the solver computed at it.
 
-    For a batch, ``z`` holds one row and ``projected_gradient_norm`` one entry
-    per lane, while ``iterations_used``, ``converged`` and ``rejected_steps``
-    describe the whole batch (see ``solve_optimal``).
+    ``prediction`` is the rollout of ``z``, ``(N+1, n)``, and ``value`` the
+    objective at ``z``; each equals ``rollout`` and ``cost`` at the solver's
+    ``x0`` and ``z`` bit for bit. For a batch, ``z``, ``prediction``,
+    ``projected_gradient_norm`` and ``value`` hold one entry per lane, while
+    ``iterations_used``, ``converged`` and ``rejected_steps`` describe the
+    whole batch (see ``solve_optimal``).
     """
 
     z: np.ndarray
@@ -136,6 +146,8 @@ class OptimizerState:
     projected_gradient_norm: float | np.ndarray = math.nan
     converged: bool = True
     rejected_steps: int = 0
+    prediction: np.ndarray | None = None
+    value: float | np.ndarray = math.nan
 
 
 def horizon_for_delta(delta: float, window_s: float) -> int:
@@ -206,6 +218,32 @@ def _checked(states: np.ndarray) -> np.ndarray:
         lane, step = np.argwhere(~np.isfinite(states).all(axis=2))[0]
         raise FloatingPointError(f"rollout overflow: non-finite state at step {step} in lane {lane}")
     return states
+
+
+def _start(
+    spec: OcpSpec, model: PlantModel, x0: np.ndarray, z: np.ndarray, batched: bool, prediction
+) -> tuple[np.ndarray, np.ndarray]:
+    """A solver's start point: ``z`` projected into the box, and its checked rollout.
+
+    ``prediction``, when given, is the caller's rollout of ``(x0, z)``
+    (``(N+1, n)``, or ``(B, N+1, n)`` for a batch) and stands in for a new
+    one. Its first state must equal ``x0`` exactly; a lane that the
+    projection moves is rolled out again.
+    """
+    projected = _project(spec, z)
+    if prediction is None:
+        return projected, _checked(_rollout(spec, model, x0, projected))
+    states = np.array(prediction, dtype=float)  # a copy: the solvers overwrite rows of it
+    expected = ((len(z),) if batched else ()) + (spec.horizon_N + 1, model.n)
+    if states.shape != expected:
+        raise ValueError(f"prediction must have shape {expected}, got {states.shape}")
+    states = states.reshape((len(z),) + expected[-2:])
+    if not np.array_equal(states[:, 0], x0):
+        raise ValueError("prediction must start at x0")
+    moved = np.flatnonzero((projected != z).any(axis=1))
+    if moved.size:
+        states[moved] = _rollout(spec, model, x0[moved], projected[moved])
+    return projected, _checked(states)
 
 
 def rollout(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
@@ -289,9 +327,7 @@ def _hessian(spec: OcpSpec, jac_x: np.ndarray, jac_u: np.ndarray) -> np.ndarray:
         weighted[:, : N - 1] = spec.state_weight @ sens[:, : N - 1]
         weighted[:, N - 1] = spec.terminal_weight @ sens[:, N - 1]
         flat = sens.reshape(lanes, N * n, N * m)
-        return 2.0 * (flat.swapaxes(-1, -2) @ weighted.reshape(lanes, N * n, N * m)) + np.kron(
-            np.eye(N), 2.0 * spec.input_weight
-        )
+        return 2.0 * (flat.swapaxes(-1, -2) @ weighted.reshape(lanes, N * n, N * m)) + spec._input_hessian
 
 
 def cost(spec: OcpSpec, model: PlantModel, x0, z):
@@ -379,7 +415,7 @@ def _armijo_backtrack(
 
 
 def iterate_map(
-    spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z
+    spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z, prediction=None
 ) -> tuple[np.ndarray, int, np.ndarray | None]:
     """Raw fixed-budget update used by ``solver_map`` and the certification sampling.
 
@@ -390,16 +426,16 @@ def iterate_map(
     Armijo condition along the projection arc holds, and rejects the step
     (``z`` unchanged) if no trial passes. The gradient and the Armijo
     reference share one rollout, and an accepted trial's rollout serves the
-    next iteration. Returns the updated stacked sequence, the number of
-    rejected steps and the rollout of the result (``None`` after a
-    fixed-rule step).
+    next iteration. ``prediction``, the caller's rollout of ``(x0, z)``,
+    stands in for the first rollout (see ``solver_map``). Returns the updated
+    stacked sequence, the number of rejected steps and the rollout of the
+    result (``None`` after a fixed-rule step).
 
     A batch steps every lane with its own line search; the rejected steps are
     summed over the lanes.
     """
     x0, z, batched = _lanes(spec, model, x0, z)
-    z = _project(spec, z)
-    states = None
+    z, states = _start(spec, model, x0, z, batched, prediction)
     rejected = 0
     for _ in range(config.iters_per_sample):
         if states is None:
@@ -417,22 +453,28 @@ def iterate_map(
     return z[0], rejected, None if states is None else states[0]
 
 
-def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z) -> OptimizerState:
+def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z, prediction=None) -> OptimizerState:
     """Fixed-budget suboptimal update: the optimizer's one-sample iteration map.
 
     Applies exactly ``config.iters_per_sample`` projected gradient iterations
-    and records the final projected-gradient norm at the result, from its
-    rollout when the line search has taken one.
+    and records, at the result, the final projected-gradient norm, the
+    rollout (``prediction``) and the objective (``value``), all from the
+    result's rollout: the accepted trial's when the line search has taken
+    one, else a new one. ``prediction``, when given, is the caller's rollout
+    of ``(x0, z)``, for example a previous result's ``shift_prediction``; it
+    stands in for the first rollout, so a backtracking step whose first
+    trial passes costs one rollout instead of two. Its first state must
+    equal ``x0`` (``ValueError``), and a non-finite one raises
+    ``FloatingPointError`` as an overflowing rollout does.
     """
+    z, rejected, states = iterate_map(spec, model, config, x0, z, prediction)
     x0, z, batched = _lanes(spec, model, x0, z)
-    z, rejected, states = iterate_map(spec, model, config, x0, z)
-    if states is None:
-        states = _checked(_rollout(spec, model, x0, z))
+    states = _checked(_rollout(spec, model, x0, z)) if states is None else states.reshape(len(z), -1, model.n)
     pg = _pg_norm(spec, z, _adjoint(spec, model, states, z))
-    return _optimizer_state(batched, z, config.iters_per_sample, pg, True, rejected)
+    return _optimizer_state(batched, z, config.iters_per_sample, pg, True, rejected, states, _value(spec, states, z))
 
 
-def _optimizer_state(batched: bool, z, iterations, pg, converged, rejected) -> OptimizerState:
+def _optimizer_state(batched: bool, z, iterations, pg, converged, rejected, states, values) -> OptimizerState:
     """The result of a solver call, without the batch axis when the call had none."""
     return OptimizerState(
         z=z if batched else z[0],
@@ -440,10 +482,14 @@ def _optimizer_state(batched: bool, z, iterations, pg, converged, rejected) -> O
         projected_gradient_norm=pg if batched else float(pg[0]),
         converged=bool(converged),
         rejected_steps=int(rejected),
+        prediction=states if batched else states[0],
+        value=values if batched else float(values[0]),
     )
 
 
-def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_init) -> OptimizerState:
+def solve_optimal(
+    spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_init, prediction=None
+) -> OptimizerState:
     """Solve-to-tolerance benchmark for the problem's minimizer.
 
     Iterates Bertsekas's projected Newton method ("Projected Newton methods
@@ -457,32 +503,36 @@ def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_
     projection arc, from ``alpha0`` (1 is the full Newton step), accepts the
     step; a lane with no acceptable step is at its numerical floor and stops.
     A result that misses the tolerance is returned with ``converged=False``,
-    never silently.
+    never silently. The result also carries the rollout (``prediction``) and
+    the objective (``value``) at the returned ``z``, which the solve already
+    holds. ``prediction``, when given, is the caller's rollout of
+    ``(x0, z_init)`` and stands in for the first rollout, under the rules of
+    ``solver_map``; each iteration then costs one rollout per trial.
 
     A batch solves every lane with its own active set, line search and
     stopping rule; a lane that stops leaves the batch while the others
-    iterate. Its result holds one row of ``z`` and one projected-gradient norm
-    per lane; ``iterations_used`` is the iterations the batch ran (its longest
-    lane), ``rejected_steps`` is summed over lanes and ``converged`` holds only
-    if every lane converged.
+    iterate. Its result holds one row of ``z`` and ``prediction`` and one
+    projected-gradient norm and value per lane; ``iterations_used`` is the
+    iterations the batch ran (its longest lane), ``rejected_steps`` is summed
+    over lanes and ``converged`` holds only if every lane converged.
     """
     x0, z, batched = _lanes(spec, model, x0, z_init)
-    z = _project(spec, z)
-    states = _checked(_rollout(spec, model, x0, z))
+    z, states = _start(spec, model, x0, z, batched, prediction)
     jac = _jacobians(spec, model, states, z)
     g, j = _adjoint(spec, model, states, z, jac), _value(spec, states, z)
     pg = _pg_norm(spec, z, g)
     lo, hi = (np.tile(bound, spec.horizon_N) for bound in spec.input_box)
     resolution = 64.0 * np.finfo(float).eps
-    z_out, pg_out = np.empty_like(z), np.empty_like(pg)
+    z_out, pg_out, states_out, j_out = np.empty_like(z), np.empty_like(pg), np.empty_like(states), np.empty_like(j)
     lanes = np.arange(len(z))  # the lanes still iterating, in the rows of the arrays above
 
     def retire(done: np.ndarray) -> None:
         """Record the result of the lanes ``done`` and keep the rows of the others."""
-        nonlocal lanes, x0, z, g, j, pg, jac
-        z_out[lanes[done]], pg_out[lanes[done]] = z[done], pg[done]
+        nonlocal lanes, x0, z, g, j, pg, states, jac
+        retired = lanes[done]
+        z_out[retired], pg_out[retired], states_out[retired], j_out[retired] = z[done], pg[done], states[done], j[done]
         keep = ~done
-        lanes, x0, z, g, j, pg = (v[keep] for v in (lanes, x0, z, g, j, pg))
+        lanes, x0, z, g, j, pg, states = (v[keep] for v in (lanes, x0, z, g, j, pg, states))
         jac = tuple(v[keep] for v in jac)
 
     iters = rejected = 0
@@ -505,19 +555,20 @@ def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_
         # Accept on sufficient decrease, or unconditionally once the
         # predicted decrease is below cost-evaluation resolution.
         noise_floor = resolution * np.maximum(1.0, np.abs(j))
-        z_new, j_new, states, ok = _armijo_backtrack(
+        z_new, j_new, trials, ok = _armijo_backtrack(
             spec, model, x0, z, g, step, j, config.alpha0, config, noise_floor
         )
-        if not ok.all():  # no acceptable step: those lanes are at the numerical floor
+        if not ok.all():  # no acceptable step: those lanes are at the numerical floor, where they retire
             rejected += int(np.count_nonzero(~ok))
-            z_new, j_new, states = z_new[ok], j_new[ok], states[ok]
+            z_new, j_new, trials = z_new[ok], j_new[ok], trials[ok]
             retire(~ok)
             if not lanes.size:
                 break
-        jac = _jacobians(spec, model, states, z_new)
-        z, j, g = z_new, j_new, _adjoint(spec, model, states, z_new, jac)
+        jac = _jacobians(spec, model, trials, z_new)
+        z, j, states, g = z_new, j_new, trials, _adjoint(spec, model, trials, z_new, jac)
         pg = _pg_norm(spec, z, g)
-    return _optimizer_state(batched, z_out, iters, pg_out, np.all(pg_out <= config.optimal_tol), rejected)
+    converged = np.all(pg_out <= config.optimal_tol)
+    return _optimizer_state(batched, z_out, iters, pg_out, converged, rejected, states_out, j_out)
 
 
 def first_input(z, m: int) -> np.ndarray:
@@ -534,3 +585,18 @@ def warm_start_shift(z, m: int) -> np.ndarray:
     if z.shape[-1] % m != 0 or z.shape[-1] < m:
         raise ValueError(f"z length {z.shape[-1]} is not a positive multiple of m={m}")
     return np.concatenate([z[..., m:], z[..., -m:]], axis=-1)
+
+
+def shift_prediction(spec: OcpSpec, model: PlantModel, states, z) -> np.ndarray:
+    """``warm_start_shift`` for the rollout ``states`` of ``z``, per row of a batch.
+
+    Drops the first state and steps the last once more under ``z``'s last
+    input block, which gives the rollout of ``warm_start_shift(z)`` from
+    ``states[1]``: equal to a new rollout bit for bit, since each lane of a
+    plant call equals its lone call. On a reduced-order plant ``states[1]`` is
+    the next plant state, so the next solve needs no rollout of its start.
+    """
+    states, z = np.asarray(states, dtype=float), np.asarray(z, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = model.reduced_map(states[..., -1, :], z[..., -spec.m :], spec.delta)
+    return np.concatenate([states[..., 1:, :], last[..., None, :]], axis=-2)

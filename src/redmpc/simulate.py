@@ -21,6 +21,7 @@ from .ocp import (
     _norms,
     _quadratic,
     first_input,
+    shift_prediction,
     solve_optimal,
     solver_map,
     warm_start_shift,
@@ -139,6 +140,7 @@ class SimTrace:
     stage_cost: np.ndarray    # (T,)
     solver_iters: np.ndarray  # (T,)
     pg_norm: np.ndarray       # (T,)
+    rejected_steps: np.ndarray  # (T,) line searches that found no step; written to no output file
     final_x: np.ndarray
     final_xi: np.ndarray
     x_star: np.ndarray
@@ -172,6 +174,12 @@ def simulate(model: PlantModel, spec: OcpSpec, solver_config: SolverConfig, sim_
     the run and marks the trace as diverged. The loop records only the
     interconnection's states, inputs and solver diagnostics; the error and
     cost columns are computed from them afterwards.
+
+    On the reduced plant the next state is the second state of the last
+    solve's prediction, so each solve after the first starts from that
+    prediction's ``shift_prediction`` instead of a new rollout, with the same
+    result bit for bit. On the full plant the next state lies off the
+    prediction, and every solve rolls its start out anew.
     """
     delta = float(sim_config.delta)
     if abs(delta - spec.delta) > 1e-15:
@@ -187,8 +195,9 @@ def simulate(model: PlantModel, spec: OcpSpec, solver_config: SolverConfig, sim_
 
     steps = sim_config.steps
     xs, xis, us = np.zeros((steps, n)), np.zeros((steps, p)), np.zeros((steps, m))
-    iters, pg = np.zeros(steps), np.zeros(steps)
+    iters, pg, rejected = np.zeros(steps), np.zeros(steps), np.zeros(steps, dtype=int)
     diverged = False
+    state = None
     for t in range(steps):
         u = first_input(z, m)
         xs[t], us[t] = x, u
@@ -201,14 +210,15 @@ def simulate(model: PlantModel, spec: OcpSpec, solver_config: SolverConfig, sim_
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
             diverged = True
             break
+        prediction = None if full_plant or state is None else shift_prediction(spec, model, state.prediction, z)
         try:
-            state = update(spec, model, solver_config, x, warm_start_shift(z, m))
+            state = update(spec, model, solver_config, x, warm_start_shift(z, m), prediction)
         except FloatingPointError:
             # prediction rollout overflowed: the loop has left any sane region
             diverged = True
             break
         z = state.z
-        iters[t], pg[t] = state.iterations_used, state.projected_gradient_norm
+        iters[t], pg[t], rejected[t] = state.iterations_used, state.projected_gradient_norm, state.rejected_steps
 
     T = t + 1
     xs, xis, us = xs[:T], xis[:T], us[:T]
@@ -232,6 +242,7 @@ def simulate(model: PlantModel, spec: OcpSpec, solver_config: SolverConfig, sim_
         stage_cost=stage_cost,
         solver_iters=iters[:T],
         pg_norm=pg[:T],
+        rejected_steps=rejected[:T],
         final_x=x.copy(),
         final_xi=np.atleast_1d(xi if full_plant else xis[-1]).copy(),
         x_star=x_star.copy(),

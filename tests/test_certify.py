@@ -9,7 +9,7 @@ import pytest
 
 from redmpc.config import load_config
 from redmpc.plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams
-from redmpc.ocp import OcpSpec, OptimizerState, SolverConfig, iterate_map, solve_optimal
+from redmpc.ocp import OcpSpec, OptimizerState, SolverConfig, cost, iterate_map, solve_optimal
 from redmpc.certify import (
     CertificationError,
     InterconnectionConstants,
@@ -544,6 +544,8 @@ def lone_solve_optimal(spec, model, config, x0, z_init):
         projected_gradient_norm=pg,
         converged=bool(np.all(pg <= config.optimal_tol)),
         rejected_steps=sum(s.rejected_steps for s in lone),
+        prediction=np.array([s.prediction for s in lone]),
+        value=np.array([s.value for s in lone]),
     )
 
 
@@ -582,6 +584,24 @@ class TestOneColdSolve:
             assert solve_verdicts == {"minimizer-solves"}
         if case == "early-exit":
             assert batched.verdicts[-1].name == "composite-weight" and "reduced-value-solves" not in failed
+
+    def test_stages_take_values_from_their_solves(self, monkeypatch):
+        # no stage rolls out a point again: the value lanes' optimal values are their share of the cold solve's
+        def no_cost(*args):
+            raise AssertionError("certify called cost on a point its solve returned")
+
+        reduced_value, checked = certify_module._reduced_value, []
+
+        def checking(model, spec, config, states, zstars, pg, values):
+            assert np.array_equal(values, cost(spec, model, states, zstars))
+            checked.append(len(states))
+            return reduced_value(model, spec, config, states, zstars, pg, values)
+
+        monkeypatch.setattr(certify_module, "cost", no_cost)
+        monkeypatch.setattr(certify_module, "_reduced_value", checking)
+        model, spec, config, plan = CASES["benchmark-plan"]()
+        report = full_certificate(model, spec, config, plan)
+        assert checked == [plan.n_value_states] and report.closed_loop is not None
 
     def test_two_solves_at_the_certified_delta(self, monkeypatch):
         model, spec, config, plan = CASES["benchmark-plan"]()

@@ -1,12 +1,14 @@
 import dataclasses
 import types
 
+import redmpc.simulate as simulate_module
+
 import numpy as np
 import pytest
 
 from redmpc.config import load_config
 from redmpc.plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams
-from redmpc.ocp import OcpSpec, SolverConfig, solve_optimal
+from redmpc.ocp import OcpSpec, SolverConfig, solve_optimal, solver_map
 from redmpc.simulate import (
     COMPARISON_HEADER,
     STRATEGIES,
@@ -44,6 +46,7 @@ def synthetic_trace(errors, delta=0.01):
         stage_cost=np.zeros(n),
         solver_iters=np.ones(n),
         pg_norm=np.zeros(n),
+        rejected_steps=np.zeros(n, dtype=int),
         final_x=np.array([e[-1], 0.0]),
         final_xi=np.zeros(1),
         x_star=np.zeros(2),
@@ -209,6 +212,103 @@ class TestDerivedColumns:
         with np.errstate(over="ignore"):
             assert np.isinf(np.linalg.norm(trace.x, axis=1)).any()
         self.assert_rows_match(trace, spec)
+
+
+def reference_closed_loop(model, spec, solver_config, sim_config):
+    """``simulate``'s recorded arrays from a plain loop in which every solve rolls out its own start."""
+    full = sim_config.strategy.plant_kind == "full_order"
+    update = solver_map if sim_config.strategy.solver_kind == "suboptimal" else solve_optimal
+    m, delta = model.m, sim_config.delta
+    x, xi = np.array(sim_config.x0, dtype=float), np.array(sim_config.xi0, dtype=float)
+    z = np.zeros(spec.horizon_N * m)
+    rec = {name: [] for name in ("x", "xi", "u", "solver_iters", "pg_norm", "rejected_steps")}
+    diverged = False
+    for _ in range(sim_config.steps):
+        u = z[:m].copy()
+        rec["x"].append(x)
+        rec["xi"].append(xi if full else model.equilibrium_map(x, u))
+        rec["u"].append(u)
+        diagnostics = (0, 0.0, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if full:
+                x, xi = model.target_map(x, xi, u, delta), model.extra_map(xi, x, u, delta)
+            else:
+                x = model.reduced_map(x, u, delta)
+        if np.isfinite(x).all() and np.isfinite(xi).all():
+            try:
+                state = update(spec, model, solver_config, x, np.concatenate([z[m:], z[-m:]]))
+                z, diagnostics = state.z, (state.iterations_used, state.projected_gradient_norm, state.rejected_steps)
+            except FloatingPointError:
+                diverged = True
+        else:
+            diverged = True
+        for name, value in zip(("solver_iters", "pg_norm", "rejected_steps"), diagnostics):
+            rec[name].append(value)
+        if diverged:
+            break
+    arrays = {name: np.array(values) for name, values in rec.items()}
+    return arrays, x, xi if full else arrays["xi"][-1], diverged
+
+
+class TestReferenceClosedLoop:
+    """``simulate``, whose reduced-plant solves start from the shifted prediction, equals a plain loop
+    over the public solvers bit for bit, in every array of its trace."""
+
+    CONFIGS = {
+        "default": {},
+        "short-backtracking": {"alpha0": 8.0, "max_backtracks": 2},
+        "fixed": {"step_rule": "fixed", "alpha0": 0.3},
+        "three-iterations": {"iters_per_sample": 3},
+    }
+
+    @staticmethod
+    def assert_same(model, spec, solver_config, sim_config):
+        trace = simulate(model, spec, solver_config, sim_config)
+        arrays, final_x, final_xi, diverged = reference_closed_loop(model, spec, solver_config, sim_config)
+        for name, values in arrays.items():
+            assert np.array_equal(getattr(trace, name), values.reshape(getattr(trace, name).shape)), name
+        assert np.array_equal(trace.final_x, final_x) and np.array_equal(trace.final_xi, final_xi)
+        assert (trace.diverged, trace.diverged_at) == (diverged, trace.step.size - 1 if diverged else None)
+        TestDerivedColumns.assert_rows_match(trace, spec)
+        return trace
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("delta,duration_s", [(0.01, 0.3), (0.1, 3.0)])
+    def test_pendulum(self, strategy, config, delta, duration_s):
+        sim_config = SimConfig(delta=delta, duration_s=duration_s, strategy=STRATEGIES[strategy])
+        solver_config = SolverConfig(**self.CONFIGS[config])
+        self.assert_same(PEND, load_config().ocp_spec(delta), solver_config, sim_config)
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_diverging_run(self, strategy):
+        model, spec, solver_config, sim_config = diverging_linear_run()
+        trace = self.assert_same(model, spec, solver_config, dataclasses.replace(sim_config, strategy=STRATEGIES[strategy]))
+        assert trace.diverged
+
+    def test_rejected_steps_recorded(self):
+        sim_config = SimConfig(delta=0.1, duration_s=3.0, strategy=STRATEGIES["subopt-full"])
+        solver_config = SolverConfig(**self.CONFIGS["short-backtracking"])
+        trace = simulate(PEND, load_config().ocp_spec(0.1), solver_config, sim_config)
+        assert trace.rejected_steps.shape == trace.step.shape and trace.rejected_steps.sum() > 0
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_reduced_plant_solves_are_given_the_prediction(self, strategy, monkeypatch):
+        given = []
+
+        def recording(solver):
+            def call(spec, model, config, x0, z, prediction=None):
+                given.append(prediction is not None)
+                return solver(spec, model, config, x0, z, prediction)
+
+            return call
+
+        monkeypatch.setattr(simulate_module, "solver_map", recording(solver_map))
+        monkeypatch.setattr(simulate_module, "solve_optimal", recording(solve_optimal))
+        sim_config = SimConfig(delta=0.1, duration_s=1.0, strategy=STRATEGIES[strategy])
+        simulate(PEND, load_config().ocp_spec(0.1), CFG, sim_config)
+        reduced = STRATEGIES[strategy].plant_kind == "reduced_order"
+        assert given == [False] + [reduced] * 9
 
 
 class TestStrategy:
