@@ -28,7 +28,9 @@ from .ocp import (
     cost,  # unused here, but the benchmark tracer wraps redmpc.certify.cost by name
     first_input,
     iterate_map,
+    shift_prediction,
     solve_optimal,
+    warm_start_shift,
 )
 
 __all__ = [
@@ -344,12 +346,12 @@ class BoundaryLayerResult:
 def boundary_layer_check(
     model: PlantModel,
     spec: OcpSpec,
-    solver_config: SolverConfig,
     kappa: float,
     states: np.ndarray,
     zstars: np.ndarray,
     xi_errs: np.ndarray,
     z_errs: np.ndarray,
+    z_next: np.ndarray,
 ) -> BoundaryLayerResult:
     """One-step decrease of the composite fast value function, frozen slow state.
 
@@ -358,22 +360,23 @@ def boundary_layer_check(
     (extra state, optimizer state) off its equilibrium; the pair is stepped
     once with the slow state frozen and the composite value ||xi_err||^2 +
     kappa * ||z_err||^2 must strictly decrease. ``xi_errs`` has shape
-    (states, samples, p) and ``z_errs`` (states, samples, N*m). d1..d4 are the
-    quadratic bounds of that composite over the stacked errors [xi_err,
-    z_err]; any violation fails with the witness (x, xi_err, z_err). All
-    samples take their optimizer step in one batched ``iterate_map`` call.
+    (states, samples, p) and ``z_errs`` (states, samples, N*m). The
+    optimizer's step is given: ``z_next`` holds, laid out like ``z_errs``,
+    the ``iterate_map`` image of each ``zstars[k] + z_errs[k][i]`` at
+    ``states[k]``; the extra state is stepped here. d1..d4 are the quadratic
+    bounds of that composite over the stacked errors [xi_err, z_err]; any
+    violation fails with the witness (x, xi_err, z_err).
     """
     m, p = model.m, model.p
     per_state = np.shape(xi_errs)[1]
-    # one row per sample: its frozen slow state, minimizer and errors
+    # one row per sample: its frozen slow state, minimizer, errors and optimizer step
     x = np.repeat(states, per_state, axis=0)
     zstar = np.repeat(zstars, per_state, axis=0)
     xi_err = np.reshape(xi_errs, (-1, p))
     z_err = np.reshape(z_errs, (len(x), -1))
-    z = zstar + z_err
-    u = first_input(z, m)
+    z_next = np.reshape(z_next, z_err.shape)
+    u = first_input(zstar + z_err, m)
     xi = xi_err + model.equilibrium_map(x, u)
-    z_next, _, _ = iterate_map(spec, model, solver_config, x, z)
     xi_next = model.extra_map(xi, x, u, spec.delta)
     xi_err_next = xi_next - model.equilibrium_map(x, first_input(z_next, m))
     z_err_next = z_next - zstar
@@ -750,7 +753,8 @@ class CertificateReport:
 # main sample stream, drawn from by the plant stages and then, for every later
 # stage, by ``_minimizer_solves``; ``states`` and ``zstars`` are the sampled slow
 # states and their minimizers; ``constants`` maps names to the ``Estimate``s
-# found so far.
+# found so far. The stages that step the optimizer at frozen states take their
+# step from ``_frozen_step``.
 
 
 def _equilibrium_identity(model, plan, rng):
@@ -825,7 +829,8 @@ def _minimizer_solves(model, spec, solver_config, plan, rng):
     its own solve would give. Returns the slow states and their minimizers,
     the optimizer-bound errors, the map-pair errors (dz_a, dz_b, dxi_a, dxi_b
     per pair), the multistart solves per probed state, and the value states
-    with their minimizers, projected-gradient norms and optimal values.
+    with their minimizers, projected-gradient norms, optimal values and the
+    rollouts of their minimizers (their share of the solve's ``prediction``).
     """
     n, p, nz = model.n, model.p, spec.horizon_N * model.m
     states = _ball_samples(rng, n, plan.n_states, plan.state_ball)
@@ -852,35 +857,68 @@ def _minimizer_solves(model, spec, solver_config, plan, rng):
     cuts = [len(states), len(states) + len(z_starts)]
     zstars, finals, value_zstars = np.split(sol.z, cuts)
     pg, _, value_pg = np.split(sol.projected_gradient_norm, cuts)
-    value_values = np.split(sol.value, cuts)[2]
+    value_values, value_prediction = np.split(sol.value, cuts)[2], np.split(sol.prediction, cuts)[2]
     verdicts = []
     if not np.all(pg <= solver_config.optimal_tol):
         verdicts.append(Verdict("minimizer-solves", False, "solve-to-tolerance failed at a sampled state"))
     finals = finals.reshape(probed, starts, nz)
-    at_values = (value_states, value_zstars, value_pg, value_values)
+    at_values = (value_states, value_zstars, value_pg, value_values, value_prediction)
     return (states, zstars, optimizer_errors, map_errors, finals, at_values), verdicts
 
 
-def _optimizer_bounds(model, spec, solver_config, states, zstars, errors):
-    """b-constants: quadratic bounds of the optimizer error ||z - z*(x)||^2, frozen state per pair."""
-    pairs = len(errors) // len(states)
-    zstar = np.repeat(zstars, pairs, axis=0)
-    z_next, _, _ = iterate_map(spec, model, solver_config, np.repeat(states, pairs, axis=0), zstar + errors)
-    stepped = z_next - zstar
+def _frozen_step(model, spec, solver_config, plan, states, zstars, optimizer_errors, map_errors):
+    """One optimizer step at the frozen slow states, shared by the three stages that take one.
+
+    Draws the boundary-layer error samples from their own stream, seeded
+    ``plan.seed + 1``: per state, the extra-state errors and then the
+    optimizer errors. Then steps, in one batched ``iterate_map`` call at
+    ``spec.delta``, the optimizer-bound lanes, the first and then the second
+    end of every map pair, and the boundary lanes, each from its state's
+    minimizer plus its error. No lane depends on the composite weight, and
+    each equals its lone call. Returns the stepped optimizer-bound lanes, the
+    stepped map-pair ends (t_a, t_b), the boundary errors (xi_errs, z_errs)
+    and their stepped lanes, laid out like z_errs.
+    """
+    rng = np.random.default_rng(plan.seed + 1)
+    nz = spec.horizon_N * model.m
+    per_state = max(1, plan.boundary_samples // len(states))
+    draws = [
+        (
+            _ball_samples(rng, model.p, per_state, plan.error_ball, plan.error_min_norm),
+            _ball_samples(rng, nz, per_state, plan.error_ball, plan.error_min_norm),
+        )
+        for _ in states
+    ]
+    xi_errs, z_errs = (np.array(side) for side in zip(*draws))
+    # per block, its rows of each state consecutive
+    blocks = [optimizer_errors, map_errors[0], map_errors[1], z_errs.reshape(-1, nz)]
+    repeats = [len(block) // len(states) for block in blocks]
+    x = np.concatenate([np.repeat(states, k, axis=0) for k in repeats])
+    z = np.concatenate([np.repeat(zstars, k, axis=0) + block for k, block in zip(repeats, blocks)])
+    z_next, _, _ = iterate_map(spec, model, solver_config, x, z)
+    optimizer_next, ta, tb, boundary_next = np.split(z_next, np.cumsum([len(block) for block in blocks])[:-1])
+    return (optimizer_next, (ta, tb), (xi_errs, z_errs), boundary_next.reshape(z_errs.shape)), []
+
+
+def _optimizer_bounds(zstars, errors, z_next):
+    """b-constants: quadratic bounds of the optimizer error ||z - z*(x)||^2 over the frozen-state steps ``z_next``."""
+    stepped = z_next - np.repeat(zstars, len(errors) // len(zstars), axis=0)
     bounds = quadratic_bounds(np.sum(errors**2, axis=1), np.sum(stepped**2, axis=1), errors)
     detail = f"b3 = {bounds.decrease:.6g} over {bounds.samples} frozen-state pairs"
     return bounds, [Verdict("optimizer-decrease", bounds.ok, detail)]
 
 
-def _map_lipschitz(model, spec, solver_config, states, zstars, map_errors):
-    """Sampled Lipschitz constants of the iteration map (lip_T) and the stacked fast map (lip_G)."""
+def _map_lipschitz(model, spec, states, zstars, map_errors, stepped):
+    """Sampled Lipschitz constants of the iteration map (lip_T) and the stacked fast map (lip_G).
+
+    ``stepped`` holds the frozen-state steps (t_a, t_b) of the two ends of each pair.
+    """
     m, delta = model.m, spec.delta
     dza, dzb, dxia, dxib = map_errors
+    ta, tb = stepped
     per_state = len(dza) // len(states)
     x, zstar = np.repeat(states, per_state, axis=0), np.repeat(zstars, per_state, axis=0)
     za, zb = zstar + dza, zstar + dzb
-    t, _, _ = iterate_map(spec, model, solver_config, np.concatenate([x, x]), np.concatenate([za, zb]))
-    ta, tb = t[: len(x)], t[len(x) :]
     gaps, steps = _norms(za - zb), _norms(ta - tb)
     lip_T = _max_pair_quotient(steps, gaps, gaps, 1e-12)
     # stacked fast map (extra state update, optimizer update)
@@ -910,12 +948,12 @@ def _multistart(zstars, finals):
     return spread, [Verdict("minimizer-uniqueness", spread <= 1e-4, detail)]
 
 
-def _boundary_layer(model, spec, solver_config, plan, constants, fast_bounds, optimizer_bounds, states, zstars):
+def _boundary_layer(model, spec, plan, constants, fast_bounds, optimizer_bounds, states, zstars, errors, z_next):
     """Composite weight from the a- and b-constants, then the boundary-layer decrease check.
 
-    The error samples come from their own stream, seeded ``plan.seed + 1``:
-    per state, the extra-state errors and then the optimizer errors. Returns
-    ``None`` with a failed ``composite-weight`` verdict when no weight exists.
+    ``errors`` are the boundary samples (xi_errs, z_errs) and ``z_next`` their
+    optimizer steps, both from ``_frozen_step``. Returns ``None`` with a
+    failed ``composite-weight`` verdict when no weight exists.
     """
     factor = plan.safety_factor
     try:
@@ -929,33 +967,26 @@ def _boundary_layer(model, spec, solver_config, plan, constants, fast_bounds, op
         )
     except CertificationError as exc:
         return None, [Verdict("composite-weight", False, str(exc))]
-    rng = np.random.default_rng(plan.seed + 1)
-    nz = spec.horizon_N * model.m
-    per_state = max(1, plan.boundary_samples // len(states))
-    draws = [
-        (
-            _ball_samples(rng, model.p, per_state, plan.error_ball, plan.error_min_norm),
-            _ball_samples(rng, nz, per_state, plan.error_ball, plan.error_min_norm),
-        )
-        for _ in states
-    ]
-    xi_errs, z_errs = (np.array(side) for side in zip(*draws))
-    boundary = boundary_layer_check(model, spec, solver_config, rule.kappa, states, zstars, xi_errs, z_errs)
+    boundary = boundary_layer_check(model, spec, rule.kappa, states, zstars, *errors, z_next)
     detail = f"d3 = {boundary.d3:.6g} with kappa = {rule.kappa:.6g} over {boundary.samples} samples"
     return (rule, boundary), [Verdict("boundary-layer-decrease", boundary.passed, detail)]
 
 
-def _reduced_value(model, spec, solver_config, states, zstars, pg, values):
+def _reduced_value(model, spec, solver_config, states, zstars, pg, values, prediction):
     """c-constants of the reduced value function, the minimizer-map constant and the slow-drift ratio.
 
     ``zstars`` are the cold-started minimizers at ``states``, ``pg`` their
-    projected-gradient norms and ``values`` the optimal values there; the
-    minimizers at the successors are warm-started from them.
+    projected-gradient norms, ``values`` the optimal values there and
+    ``prediction`` their rollouts. The successor of each state is the second
+    state of its rollout, and the minimizer there is solved from where the
+    receding horizon puts it: ``warm_start_shift`` of the minimizer, with its
+    ``shift_prediction`` as the solve's first rollout.
     """
     delta, x_star, m = spec.delta, model.x_star, model.m
     count = len(states)
-    x_next = model.reduced_map(states, first_input(zstars, m), delta)
-    sol_next = solve_optimal(spec, model, solver_config, x_next, zstars)
+    shifted = shift_prediction(spec, model, prediction, zstars)
+    x_next = shifted[:, 0]
+    sol_next = solve_optimal(spec, model, solver_config, x_next, warm_start_shift(zstars, m), shifted)
     values_next = sol_next.value
     solves_ok = np.all(pg <= solver_config.optimal_tol) and sol_next.converged
     errs = _norms(states - x_star)
@@ -1029,11 +1060,16 @@ def full_certificate(
 
     The stages run in order: equilibrium identity, plant Lipschitz constants,
     fast bounds (a), minimizer solves (the draw of every later sample from the
-    main stream, and one batched cold solve), optimizer bounds (b), map Lipschitz
-    constants, multistart, composite weight + boundary layer (d), reduced
-    value (c), interconnection + timescale bisection, and (optionally) the
-    sampled closed-loop decrease at half the certified bound. Every verdict
-    goes into the report; a missing composite weight ends the chain there.
+    main stream, and one batched cold solve), the frozen-state step (one
+    batched optimizer step for the next three stages that take one),
+    optimizer bounds (b), map Lipschitz constants, multistart, composite
+    weight + boundary layer (d), reduced value (c, whose successor solve
+    starts from the shifted minimizers), interconnection + timescale
+    bisection, and (optionally) the sampled closed-loop decrease at half the
+    certified bound. Every verdict goes into the report; a missing composite
+    weight ends the chain there. A certificate makes four ``solve_optimal``
+    calls and two ``iterate_map`` calls, one at ``spec.delta`` and one in the
+    closed-loop check.
     """
     plan = plan or SamplingPlan()
     rng = np.random.default_rng(plan.seed)
@@ -1050,13 +1086,16 @@ def full_certificate(
     states, zstars, optimizer_errors, map_errors, finals, at_values = run(
         _minimizer_solves, model, spec, solver_config, plan, rng
     )
-    at_states = (model, spec, solver_config, states, zstars)
-    report.optimizer_bounds = run(_optimizer_bounds, *at_states, optimizer_errors)
-    report.constants.update(run(_map_lipschitz, *at_states, map_errors))
+    optimizer_next, map_next, boundary_errors, boundary_next = run(
+        _frozen_step, model, spec, solver_config, plan, states, zstars, optimizer_errors, map_errors
+    )
+    report.optimizer_bounds = run(_optimizer_bounds, zstars, optimizer_errors, optimizer_next)
+    report.constants.update(run(_map_lipschitz, model, spec, states, zstars, map_errors, map_next))
     report.multistart_spread = run(_multistart, zstars, finals)
     weighted = run(
         _boundary_layer,
-        model, spec, solver_config, plan, report.constants, report.fast_bounds, report.optimizer_bounds, states, zstars,
+        model, spec, plan, report.constants, report.fast_bounds, report.optimizer_bounds, states, zstars,
+        boundary_errors, boundary_next,
     )
     if weighted is None:
         report.delta_bar_reason = report.verdicts[-1].detail

@@ -313,7 +313,9 @@ def _hessian(spec: OcpSpec, jac_x: np.ndarray, jac_u: np.ndarray) -> np.ndarray:
     with ``W_tau = Q`` for ``tau < N`` and ``Q_f`` at ``tau = N``. ``H`` drops
     only the second derivatives of the reduced map, so it is exact for a
     linear model, and it is positive definite whenever ``Q`` and ``Q_f`` are
-    PSD and ``R`` is PD.
+    PSD and ``R`` is PD. The weighted sensitivities take ``Q`` in one product
+    over every row and then ``Q_f`` in the last, and ``H`` is scaled and
+    completed in place, so no full-size temporary is copied.
     """
     N, m = spec.horizon_N, spec.m
     lanes, n = len(jac_x), jac_x.shape[-1]
@@ -323,11 +325,13 @@ def _hessian(spec: OcpSpec, jac_x: np.ndarray, jac_u: np.ndarray) -> np.ndarray:
         for tau in range(1, N):
             np.matmul(jac_x[:, tau], sens[:, tau - 1], out=sens[:, tau])
             sens[:, tau, :, tau * m : (tau + 1) * m] = jac_u[:, tau]
-        weighted = np.empty_like(sens)
-        weighted[:, : N - 1] = spec.state_weight @ sens[:, : N - 1]
+        weighted = spec.state_weight @ sens
         weighted[:, N - 1] = spec.terminal_weight @ sens[:, N - 1]
         flat = sens.reshape(lanes, N * n, N * m)
-        return 2.0 * (flat.swapaxes(-1, -2) @ weighted.reshape(lanes, N * n, N * m)) + spec._input_hessian
+        hess = flat.swapaxes(-1, -2) @ weighted.reshape(lanes, N * n, N * m)
+        hess *= 2.0
+        hess += spec._input_hessian
+        return hess
 
 
 def cost(spec: OcpSpec, model: PlantModel, x0, z):
@@ -435,22 +439,36 @@ def iterate_map(
     summed over the lanes.
     """
     x0, z, batched = _lanes(spec, model, x0, z)
+    z, rejected, states, _ = _iterate(spec, model, config, x0, z, batched, prediction)
+    if batched:
+        return z, rejected, states
+    return z[0], rejected, None if states is None else states[0]
+
+
+def _iterate(
+    spec: OcpSpec, model: PlantModel, config: SolverConfig, x0: np.ndarray, z: np.ndarray, batched: bool, prediction
+) -> tuple[np.ndarray, int, np.ndarray | None, np.ndarray | None]:
+    """``iterate_map`` on checked lanes: the result, the rejected steps, and its rollout and objective per lane.
+
+    The objective is the line search's value at each lane's accepted trial,
+    or the lane's start value when it rejected every trial; the rollout and
+    objective are ``None`` after a fixed-rule step.
+    """
     z, states = _start(spec, model, x0, z, batched, prediction)
-    rejected = 0
+    rejected, values = 0, None
     for _ in range(config.iters_per_sample):
         if states is None:
             states = _checked(_rollout(spec, model, x0, z))
         g = _adjoint(spec, model, states, z)
         if config.step_rule == "fixed":
-            z, states = _project(spec, z - config.alpha0 * g), None
+            z, states, values = _project(spec, z - config.alpha0 * g), None, None
             continue
-        j = _value(spec, states, z)
-        points, _, trials, ok = _armijo_backtrack(spec, model, x0, z, g, g, j, config.alpha0, config)
-        z[ok], states[ok] = points[ok], trials[ok]
+        if values is None:
+            values = _value(spec, states, z)
+        points, trial_values, trials, ok = _armijo_backtrack(spec, model, x0, z, g, g, values, config.alpha0, config)
+        z[ok], states[ok], values[ok] = points[ok], trials[ok], trial_values[ok]
         rejected += int(np.count_nonzero(~ok))
-    if batched:
-        return z, rejected, states
-    return z[0], rejected, None if states is None else states[0]
+    return z, rejected, states, values
 
 
 def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z, prediction=None) -> OptimizerState:
@@ -458,20 +476,22 @@ def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z, pr
 
     Applies exactly ``config.iters_per_sample`` projected gradient iterations
     and records, at the result, the final projected-gradient norm, the
-    rollout (``prediction``) and the objective (``value``), all from the
-    result's rollout: the accepted trial's when the line search has taken
-    one, else a new one. ``prediction``, when given, is the caller's rollout
+    rollout (``prediction``) and the objective (``value``): the accepted
+    trial's rollout and line-search value when the line search has taken
+    one, else a new rollout. ``prediction``, when given, is the caller's rollout
     of ``(x0, z)``, for example a previous result's ``shift_prediction``; it
     stands in for the first rollout, so a backtracking step whose first
     trial passes costs one rollout instead of two. Its first state must
     equal ``x0`` (``ValueError``), and a non-finite one raises
     ``FloatingPointError`` as an overflowing rollout does.
     """
-    z, rejected, states = iterate_map(spec, model, config, x0, z, prediction)
     x0, z, batched = _lanes(spec, model, x0, z)
-    states = _checked(_rollout(spec, model, x0, z)) if states is None else states.reshape(len(z), -1, model.n)
+    z, rejected, states, values = _iterate(spec, model, config, x0, z, batched, prediction)
+    if states is None:
+        states = _checked(_rollout(spec, model, x0, z))
+        values = _value(spec, states, z)
     pg = _pg_norm(spec, z, _adjoint(spec, model, states, z))
-    return _optimizer_state(batched, z, config.iters_per_sample, pg, True, rejected, states, _value(spec, states, z))
+    return _optimizer_state(batched, z, config.iters_per_sample, pg, True, rejected, states, values)
 
 
 def _optimizer_state(batched: bool, z, iterations, pg, converged, rejected, states, values) -> OptimizerState:

@@ -9,7 +9,17 @@ import pytest
 
 from redmpc.config import load_config
 from redmpc.plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams
-from redmpc.ocp import OcpSpec, OptimizerState, SolverConfig, cost, iterate_map, solve_optimal
+from redmpc.ocp import (
+    OcpSpec,
+    OptimizerState,
+    SolverConfig,
+    cost,
+    iterate_map,
+    rollout,
+    shift_prediction,
+    solve_optimal,
+    warm_start_shift,
+)
 from redmpc.certify import (
     CertificationError,
     InterconnectionConstants,
@@ -375,6 +385,14 @@ class TestBisect:
         assert res.value == pytest.approx(0.05)
 
 
+def frozen_step(spec, config, states, zstars, z_errs):
+    """The optimizer's frozen-state step that ``boundary_layer_check`` takes, laid out like ``z_errs``."""
+    per_state = np.shape(z_errs)[1]
+    x, zstar = np.repeat(states, per_state, axis=0), np.repeat(zstars, per_state, axis=0)
+    z_next, _, _ = iterate_map(spec, PEND, config, x, zstar + np.reshape(z_errs, zstar.shape))
+    return z_next.reshape(np.shape(z_errs))
+
+
 class TestBoundaryLayer:
     def test_origin_is_fixed_point(self):
         # At (xi_err, z_err) = (0, 0) the composite value change is ~ solver tolerance^2.
@@ -402,7 +420,8 @@ class TestBoundaryLayer:
             zstars.append(star.z)
         xi_errs = ball_samples(rng, (4, 50, 1))
         z_errs = ball_samples(rng, (4, 50, 50))
-        res = boundary_layer_check(PEND, spec, CFG, rule.kappa, states, zstars, xi_errs, z_errs)
+        z_next = frozen_step(spec, CFG, states, zstars, z_errs)
+        res = boundary_layer_check(PEND, spec, rule.kappa, states, zstars, xi_errs, z_errs, z_next)
         assert res.passed and res.samples == 200
         assert res.d3 > 0.0
         assert res.d1 <= res.d2
@@ -417,7 +436,8 @@ class TestBoundaryLayer:
         xi_err = np.array([1e-8])
         z_err = np.zeros(50)
         z_err[0] = 1.0
-        res = boundary_layer_check(PEND, spec, CFG, 0.0, x[None], [star.z], xi_err[None, None], z_err[None, None])
+        z_next = frozen_step(spec, CFG, x[None], [star.z], z_err[None, None])
+        res = boundary_layer_check(PEND, spec, 0.0, x[None], [star.z], xi_err[None, None], z_err[None, None], z_next)
         assert not res.passed
         wx, wxi, wz = res.witness
         assert np.array_equal(wx, x) and np.array_equal(wxi, xi_err) and np.array_equal(wz, z_err)
@@ -532,11 +552,12 @@ CASES = {
 }
 
 
-def lone_solve_optimal(spec, model, config, x0, z_init):
+def lone_solve_optimal(spec, model, config, x0, z_init, prediction=None):
     """``solve_optimal`` with a batch split into lone calls, reassembled as the batched result."""
     if np.ndim(z_init) == 1:
-        return solve_optimal(spec, model, config, x0, z_init)
-    lone = [solve_optimal(spec, model, config, x, z) for x, z in zip(x0, z_init)]
+        return solve_optimal(spec, model, config, x0, z_init, prediction)
+    given = [None] * len(z_init) if prediction is None else prediction
+    lone = [solve_optimal(spec, model, config, x, z, p) for x, z, p in zip(x0, z_init, given)]
     pg = np.array([s.projected_gradient_norm for s in lone])
     return OptimizerState(
         z=np.array([s.z for s in lone]),
@@ -592,10 +613,11 @@ class TestOneColdSolve:
 
         reduced_value, checked = certify_module._reduced_value, []
 
-        def checking(model, spec, config, states, zstars, pg, values):
+        def checking(model, spec, config, states, zstars, pg, values, prediction):
             assert np.array_equal(values, cost(spec, model, states, zstars))
+            assert np.array_equal(prediction, rollout(spec, model, states, zstars))
             checked.append(len(states))
-            return reduced_value(model, spec, config, states, zstars, pg, values)
+            return reduced_value(model, spec, config, states, zstars, pg, values, prediction)
 
         monkeypatch.setattr(certify_module, "cost", no_cost)
         monkeypatch.setattr(certify_module, "_reduced_value", checking)
@@ -607,9 +629,9 @@ class TestOneColdSolve:
         model, spec, config, plan = CASES["benchmark-plan"]()
         calls = []
 
-        def recording(spec_arg, model_arg, config_arg, x0, z_init):
-            result = solve_optimal(spec_arg, model_arg, config_arg, x0, z_init)
-            calls.append((spec_arg.delta, np.array(x0), np.array(z_init), result))
+        def recording(spec_arg, model_arg, config_arg, x0, z_init, prediction=None):
+            result = solve_optimal(spec_arg, model_arg, config_arg, x0, z_init, prediction)
+            calls.append((spec_arg.delta, np.array(x0), np.array(z_init), prediction, result))
             return result
 
         monkeypatch.setattr(certify_module, "solve_optimal", recording)
@@ -617,15 +639,63 @@ class TestOneColdSolve:
         assert report.closed_loop is not None  # the closed-loop check ran, at its own delta
         at_delta = [call for call in calls if call[0] == spec.delta]
         assert len(at_delta) == 2 and len(calls) == 4
-        (_, x_cold, z_cold, cold), (_, x_warm, z_warm, _) = at_delta
+        (_, x_cold, z_cold, given_cold, cold), (_, x_warm, z_warm, given_warm, _) = at_delta
         starts = plan.multistart_states * (plan.multistart_points - 1)
         assert len(x_cold) == plan.n_states + starts + plan.n_value_states
         # minimizer and value lanes start from zeros, multistart lanes from points in the input box
         assert not z_cold[: plan.n_states].any() and not z_cold[plan.n_states + starts :].any()
         assert np.all(z_cold[plan.n_states : plan.n_states + starts] != 0.0)
-        # the successor solve starts from the value lanes' minimizers
-        assert np.array_equal(z_warm, cold.z[plan.n_states + starts :])
+        assert given_cold is None
+        # the successor solve starts where the receding horizon puts it: the value lanes'
+        # minimizers shifted, with their rollouts shifted as its first rollout
+        value_z, value_rollouts = cold.z[plan.n_states + starts :], cold.prediction[plan.n_states + starts :]
+        assert np.array_equal(z_warm, warm_start_shift(value_z, model.m))
+        assert np.array_equal(given_warm, shift_prediction(spec, model, value_rollouts, value_z))
+        # its states are the value states' successors, the second states of their rollouts
         assert len(x_warm) == plan.n_value_states
+        assert np.array_equal(x_warm, value_rollouts[:, 1])
+        assert np.array_equal(x_warm, model.reduced_map(x_cold[plan.n_states + starts :], value_z[:, : model.m], spec.delta))
+
+    def test_one_frozen_state_step(self, monkeypatch):
+        # the optimizer-bound, map-pair and boundary lanes step in one call at the certified delta,
+        # and the closed-loop check makes the only other call, at half the certified bound
+        model, spec, config, plan = CASES["benchmark-plan"]()
+        calls = []
+
+        def recording(spec_arg, model_arg, config_arg, x0, z, prediction=None):
+            calls.append((spec_arg.delta, len(x0), prediction))
+            return iterate_map(spec_arg, model_arg, config_arg, x0, z, prediction)
+
+        monkeypatch.setattr(certify_module, "iterate_map", recording)
+        report = full_certificate(model, spec, config, plan)
+        map_count = plan.n_states * max(1, plan.map_pairs // plan.n_states)
+        per_state = max(1, plan.boundary_samples // plan.n_states)
+        lanes = plan.n_states * plan.optimizer_pairs_per_state + 2 * map_count + plan.n_states * per_state
+        assert report.closed_loop is not None and report.closed_loop.delta == report.delta_bar / 2.0
+        assert calls == [(spec.delta, lanes, None), (report.delta_bar / 2.0, plan.closed_loop_samples, None)]
+
+    def test_each_stage_gets_the_step_of_its_own_lanes(self):
+        # the shared step's rows of each stage equal that stage's own iterate_map call
+        model, spec, config, plan = CASES["benchmark-plan"]()
+        (states, zstars, optimizer_errors, map_errors, _, _), _ = certify_module._minimizer_solves(
+            model, spec, config, plan, np.random.default_rng(5)
+        )
+        (optimizer_next, map_next, (xi_errs, z_errs), boundary_next), verdicts = certify_module._frozen_step(
+            model, spec, config, plan, states, zstars, optimizer_errors, map_errors
+        )
+        per_state = max(1, plan.boundary_samples // plan.n_states)
+        assert verdicts == []
+        assert xi_errs.shape == (plan.n_states, per_state, model.p) and z_errs.shape == boundary_next.shape
+
+        def own_step(errors):
+            k = len(errors) // len(states)
+            z = np.repeat(zstars, k, axis=0) + errors
+            return iterate_map(spec, model, config, np.repeat(states, k, axis=0), z)[0]
+
+        assert np.array_equal(optimizer_next, own_step(optimizer_errors))
+        assert np.array_equal(map_next[0], own_step(map_errors[0]))
+        assert np.array_equal(map_next[1], own_step(map_errors[1]))
+        assert np.array_equal(boundary_next, own_step(z_errs.reshape(-1, z_errs.shape[-1])).reshape(z_errs.shape))
 
 
 class TestSampleCounts:

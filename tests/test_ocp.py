@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import redmpc.ocp as ocp_module
 from redmpc.config import load_config
 from redmpc.plant import ActuatedPendulum, LinearTwoTimescale
 from redmpc.ocp import (
@@ -544,6 +545,23 @@ class TestEvaluationCounts:
         # gradient rollout + accepted first trial; adjoint at z + diagnostic adjoint
         assert (model.maps, model.jacobians) == (100, 2)
 
+    @pytest.mark.parametrize("rule, values", [("backtracking", 2), ("fixed", 1)])
+    def test_solver_map_evaluates_each_objective_once(self, rule, values, monkeypatch):
+        # backtracking: the start's value and the accepted first trial's, which the result reports;
+        # fixed: only the result's
+        calls = []
+        value = ocp_module._value
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return value(*args)
+
+        monkeypatch.setattr(ocp_module, "_value", counting)
+        out = solver_map(self.SPEC, PEND, SolverConfig(step_rule=rule, alpha0=1e-3), self.X0, np.zeros(50))
+        assert out.rejected_steps == 0 and len(calls) == values
+        monkeypatch.undo()
+        assert out.value == cost(self.SPEC, PEND, self.X0, out.z)
+
     def test_iterate_map(self):
         model = CountingPendulum()
         _, rejected, _ = iterate_map(self.SPEC, model, CFG, self.X0, np.zeros(50))
@@ -794,6 +812,33 @@ class TestGaussNewtonHessian:
         spec = load_config().ocp_spec(0.01)
         hess = gauss_newton_hessian(spec, PEND, [0.9, -2.0], np.random.default_rng(20).uniform(-24, 24, 50))
         assert np.linalg.eigvalsh(0.5 * (hess + hess.T))[0] >= 2.0 * spec.input_weight[0, 0] * (1 - 1e-12)
+
+
+    def test_batch_of_40_lanes_equals_its_lone_calls(self):
+        # a terminal weight unlike the stage weight, so that the last row's weight shows
+        spec = dataclasses.replace(load_config().ocp_spec(0.01), terminal_weight=np.diag([3.0, 0.5]))
+        rng = np.random.default_rng(21)
+        x0, z = rng.uniform(-1, 1, (40, 2)), rng.uniform(-24, 24, (40, 50))
+        hess = gauss_newton_hessian(spec, PEND, x0, z)
+        assert hess.shape == (40, 50, 50)
+        for k in range(40):
+            assert np.array_equal(hess[k], gauss_newton_hessian(spec, PEND, x0[k], z[k]))
+            ref = loop_hessian(spec, PEND, x0[k], z[k])
+            assert np.max(np.abs(hess[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_overflowing_lane_stays_in_its_lane(self):
+        # one lane's Jacobians grow its sensitivities as 1e200^tau: only its H is non-finite,
+        # and no RuntimeWarning is raised (warnings are errors under this suite)
+        spec = load_config().ocp_spec(0.01)
+        rng = np.random.default_rng(22)
+        x0, z = rng.uniform(-1, 1, (5, 2)), rng.uniform(-24, 24, (5, 50))
+        states = rollout(spec, PEND, x0, z)
+        jac_x, jac_u = PEND.reduced_jacobians(states[:, :50], z[..., None], spec.delta)
+        jac_x[2] *= 1e200
+        hess = ocp_module._hessian(spec, jac_x, jac_u)
+        assert not np.isfinite(hess[2]).all()
+        for k in (0, 1, 3, 4):
+            assert np.array_equal(hess[k], gauss_newton_hessian(spec, PEND, x0[k], z[k]))
 
 
 class TestBatchAxis:
