@@ -64,6 +64,17 @@ class CertificationError(ValueError):
     """Raised when certification is structurally impossible (e.g. no decrease)."""
 
 
+# A field so marked is kept on its record but left out of ``as_dict`` (and so of certificate.json).
+UNWRITTEN = {"written": False}
+
+
+class _Record:
+    """A result record: ``as_dict`` holds its dataclass fields in declaration order, less the unwritten ones."""
+
+    def as_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.metadata.get("written", True)}
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
     """Sample counts, ranges, and the safety factor applied to sampled constants.
@@ -135,7 +146,7 @@ class SamplingPlan:
 
 
 @dataclass
-class Estimate:
+class Estimate(_Record):
     """A constant with its provenance tag; sampled values are lower bounds."""
 
     value: float
@@ -148,7 +159,7 @@ class Estimate:
 
 
 @dataclass
-class QuadraticBounds:
+class QuadraticBounds(_Record):
     """Sampled quadratic sandwich, one-step decrease, and increment coefficients.
 
     For a candidate function V on error coordinates v (equilibrium at the
@@ -166,19 +177,9 @@ class QuadraticBounds:
     increment: float
     samples: int
     ok: bool
-    witness: np.ndarray | None = None
     increment_centered: float | None = None
-    witness_index: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "decrease": self.decrease,
-            "increment": self.increment,
-            "samples": self.samples,
-            "ok": self.ok,
-        }
+    witness: np.ndarray | None = field(default=None, metadata=UNWRITTEN)
+    witness_index: int | None = field(default=None, metadata=UNWRITTEN)
 
 
 def _uniform_stream(rng: np.random.Generator, low: np.ndarray, high: np.ndarray, count: int) -> np.ndarray:
@@ -288,7 +289,7 @@ def quadratic_bounds(
 
 
 @dataclass
-class KappaRule:
+class KappaRule(_Record):
     """Composite-weight rule for the boundary-layer value function U + kappa*L."""
 
     boundary_k1: float
@@ -319,7 +320,7 @@ def kappa_rule(a3: float, a4: float, b3: float, lip_xi: float, lip_g: float, lip
 
 
 @dataclass
-class BoundaryLayerResult:
+class BoundaryLayerResult(_Record):
     """Outcome of the sampled fast-subsystem decrease check."""
 
     passed: bool
@@ -329,18 +330,7 @@ class BoundaryLayerResult:
     d4: float
     kappa: float
     samples: int
-    witness: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # (x, xi_err, z_err)
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "d1": self.d1,
-            "d2": self.d2,
-            "d3": self.d3,
-            "d4": self.d4,
-            "kappa": self.kappa,
-            "samples": self.samples,
-        }
+    witness: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, metadata=UNWRITTEN)  # (x, xi_err, z_err)
 
 
 def boundary_layer_check(
@@ -401,7 +391,7 @@ def boundary_layer_check(
 
 
 @dataclass
-class InterconnectionConstants:
+class InterconnectionConstants(_Record):
     """Constants of the slow/fast coupling analysis and the matrix they build.
 
     ``fast_decrease`` and ``fast_increment`` are the decrease/increment
@@ -428,11 +418,8 @@ class InterconnectionConstants:
     k8: float = field(init=False)
 
     def __post_init__(self):
-        missing = [
-            name
-            for name in ("c3", "c4", "fast_decrease", "fast_increment", "lip_slow", "lip_h", "lip_G")
-            if getattr(self, name) is None or not math.isfinite(getattr(self, name))
-        ]
+        inputs = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        missing = [name for name, value in inputs.items() if value is None or not math.isfinite(value)]
         if missing:
             raise CertificationError(f"missing or non-finite constants: {missing}")
         c4, Lf = self.c4, self.lip_slow
@@ -480,25 +467,6 @@ class InterconnectionConstants:
         det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
         return mat[0, 0] > 0.0 and det > 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "k1": self.k1,
-            "k2": self.k2,
-            "k3": self.k3,
-            "k4": self.k4,
-            "k5": self.k5,
-            "k6": self.k6,
-            "k7": self.k7,
-            "k8": self.k8,
-            "c3": self.c3,
-            "c4": self.c4,
-            "fast_decrease": self.fast_decrease,
-            "fast_increment": self.fast_increment,
-            "lip_slow": self.lip_slow,
-            "lip_h": self.lip_h,
-            "lip_G": self.lip_G,
-        }
-
 
 @dataclass
 class DeltaBarSearch:
@@ -545,12 +513,12 @@ def bisect_delta_bar(constants: InterconnectionConstants, cap: float) -> DeltaBa
 
 
 @dataclass
-class ClosedLoopDecreaseResult:
+class ClosedLoopDecreaseResult(_Record):
     passed: bool
     delta: float
     samples: int
     worst_margin: float
-    witness: np.ndarray | None = None
+    witness: np.ndarray | None = field(default=None, metadata=UNWRITTEN)
 
 
 def closed_loop_decrease_check(
@@ -621,7 +589,7 @@ def closed_loop_decrease_check(
 
 
 @dataclass
-class Verdict:
+class Verdict(_Record):
     name: str
     passed: bool
     detail: str
@@ -708,38 +676,27 @@ class CertificateReport:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
+        def record(result: _Record | None) -> dict | None:
+            return None if result is None else result.as_dict()
+
         return {
             "model": self.model_name,
             "delta": self.delta,
             "horizon_N": self.horizon_N,
             "ranges": self.ranges,
             "safety_factor": self.plan.safety_factor,
-            "constants": {k: {"value": e.value, "tag": e.tag, "samples": e.samples} for k, e in self.constants.items()},
-            "fast_bounds": self.fast_bounds.as_dict() if self.fast_bounds else None,
-            "optimizer_bounds": self.optimizer_bounds.as_dict() if self.optimizer_bounds else None,
-            "reduced_bounds": self.reduced_bounds.as_dict() if self.reduced_bounds else None,
-            "kappa": None
-            if self.kappa is None
-            else {
-                "boundary_k1": self.kappa.boundary_k1,
-                "boundary_k2": self.kappa.boundary_k2,
-                "threshold": self.kappa.kappa_threshold,
-                "kappa": self.kappa.kappa,
-            },
-            "boundary": self.boundary.as_dict() if self.boundary else None,
-            "interconnection": self.interconnection.as_dict() if self.interconnection else None,
+            "constants": {k: e.as_dict() for k, e in self.constants.items()},
+            "fast_bounds": record(self.fast_bounds),
+            "optimizer_bounds": record(self.optimizer_bounds),
+            "reduced_bounds": record(self.reduced_bounds),
+            "kappa": record(self.kappa),
+            "boundary": record(self.boundary),
+            "interconnection": record(self.interconnection),
             "delta_bar": self.delta_bar,
             "delta_bar_reason": self.delta_bar_reason,
-            "closed_loop": None
-            if self.closed_loop is None
-            else {
-                "passed": self.closed_loop.passed,
-                "delta": self.closed_loop.delta,
-                "samples": self.closed_loop.samples,
-                "worst_margin": self.closed_loop.worst_margin,
-            },
+            "closed_loop": record(self.closed_loop),
             "multistart_spread": None if math.isnan(self.multistart_spread) else self.multistart_spread,
-            "verdicts": [{"name": v.name, "passed": v.passed, "detail": v.detail} for v in self.verdicts],
+            "verdicts": [v.as_dict() for v in self.verdicts],
             "overall_pass": self.overall_pass,
         }
 

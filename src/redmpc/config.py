@@ -1,10 +1,10 @@
 """Plain-text sectioned key=value configuration with fully materialized defaults.
 
-Grammar: ``[section]`` headers, ``key = value`` lines, ``#`` comments, blank
-lines ignored. Unknown sections or keys are rejected naming the offender and
-the allowed set. Defaults reproduce the benchmark scenario (pendulum table
-values, quadratic weights diag(100, 0.1)/0.01, saturation 24 V, 0.5 s
-prediction window).
+Grammar: ``[section]`` headers, ``key = value`` lines, whole-line ``#``
+comments and blank lines ignored. Unknown sections or keys are rejected
+naming the offender and the allowed set. Defaults reproduce the benchmark
+scenario (pendulum table values, quadratic weights diag(100, 0.1)/0.01,
+saturation 24 V, 0.5 s prediction window).
 """
 
 from __future__ import annotations

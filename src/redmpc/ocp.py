@@ -111,7 +111,7 @@ class SolverConfig:
 
     iters_per_sample: int = 1
     step_rule: str = "backtracking"      # "backtracking" or "fixed"
-    alpha0: float = 1.0                  # first trial step of every line search (1: the full Newton step in solve_optimal)
+    alpha0: float = 1.0                  # gradient step of the fixed rule, first trial of its line search
     shrink: float = 0.5
     armijo_c: float = 1e-4
     max_backtracks: int = 30
@@ -520,14 +520,15 @@ def solve_optimal(
     within the projected-gradient norm of a bound whose gradient points out
     of the box; the free inputs F take the Newton step ``H_FF^-1 g_F`` and the
     active ones the gradient step. A monotone Armijo search along the
-    projection arc, from ``alpha0`` (1 is the full Newton step), accepts the
-    step; a lane with no acceptable step is at its numerical floor and stops.
-    A result that misses the tolerance is returned with ``converged=False``,
-    never silently. The result also carries the rollout (``prediction``) and
-    the objective (``value``) at the returned ``z``, which the solve already
-    holds. ``prediction``, when given, is the caller's rollout of
-    ``(x0, z_init)`` and stands in for the first rollout, under the rules of
-    ``solver_map``; each iteration then costs one rollout per trial.
+    projection arc, from the full Newton step (alpha 1; ``alpha0`` belongs to
+    the gradient map), accepts the step; a lane with no acceptable step is at
+    its numerical floor and stops. A result that misses the tolerance is
+    returned with ``converged=False``, never silently. The result also
+    carries the rollout (``prediction``) and the objective (``value``) at the
+    returned ``z``, which the solve already holds. ``prediction``, when
+    given, is the caller's rollout of ``(x0, z_init)`` and stands in for the
+    first rollout, under the rules of ``solver_map``; each iteration then
+    costs one rollout per trial.
 
     A batch solves every lane with its own active set, line search and
     stopping rule; a lane that stops leaves the batch while the others
@@ -576,7 +577,7 @@ def solve_optimal(
         # predicted decrease is below cost-evaluation resolution.
         noise_floor = resolution * np.maximum(1.0, np.abs(j))
         z_new, j_new, trials, ok = _armijo_backtrack(
-            spec, model, x0, z, g, step, j, config.alpha0, config, noise_floor
+            spec, model, x0, z, g, step, j, 1.0, config, noise_floor
         )
         if not ok.all():  # no acceptable step: those lanes are at the numerical floor, where they retire
             rejected += int(np.count_nonzero(~ok))

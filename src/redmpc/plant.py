@@ -177,9 +177,8 @@ class ActuatedPendulum(PlantModel):
     m = 1
     name = "pendulum"
 
-    def __init__(self, params: PendulumParams | None = None, delta_max: float = 1.0):
+    def __init__(self, params: PendulumParams | None = None):
         self.params = params or PendulumParams()
-        self.delta_max = float(delta_max)
         p = self.params
         # Closed forms for this model: slow coupling K_t/J, fast map
         # max{|1-R/Lt|, Ke/Lt, 1/Lt}, equilibrium max{1, Ke}/R.
@@ -263,7 +262,6 @@ class LinearTwoTimescale(PlantModel):
         rho: float = 0.5,
         s_fast: float = 0.2,
         e_fast: float = 0.5,
-        delta_max: float = 1.0,
     ):
         _check_range("rho", rho, -1.0, 1.0)
         self.a_slow = float(a_slow)
@@ -272,7 +270,6 @@ class LinearTwoTimescale(PlantModel):
         self.rho = float(rho)
         self.s_fast = float(s_fast)
         self.e_fast = float(e_fast)
-        self.delta_max = float(delta_max)
         self.lip_target_fast = max(abs(self.b_slow), abs(self.c_slow))
         self.lip_extra = max(abs(self.rho), abs(self.s_fast), abs(self.e_fast))
         self.lip_equilibrium = max(abs(self.s_fast), abs(self.e_fast)) / (1.0 - self.rho)

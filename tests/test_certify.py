@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
+import json
 import math
 import warnings
+from pathlib import Path
 
 import redmpc.certify as certify_module
 
@@ -21,9 +24,15 @@ from redmpc.ocp import (
     warm_start_shift,
 )
 from redmpc.certify import (
+    BoundaryLayerResult,
     CertificationError,
+    ClosedLoopDecreaseResult,
+    Estimate,
     InterconnectionConstants,
+    KappaRule,
+    QuadraticBounds,
     SamplingPlan,
+    Verdict,
     bisect_delta_bar,
     boundary_layer_check,
     closed_loop_decrease_check,
@@ -512,6 +521,77 @@ class TestFullCertificate:
         assert "theta" not in blob["ranges"] and "omega" not in blob["ranges"]
         assert isinstance(blob["verdicts"], list)
         assert blob["overall_pass"] == rep.overall_pass
+
+
+def load_benchmark_checks():
+    """``perfbench/checks.py``, loaded from its file and only read."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCertificateJson:
+    """certificate.json writes what the result records hold, and k1..k8 and delta_bar follow from it alone."""
+
+    RECORDS = {
+        "fast_bounds": QuadraticBounds,
+        "optimizer_bounds": QuadraticBounds,
+        "reduced_bounds": QuadraticBounds,
+        "kappa": KappaRule,
+        "boundary": BoundaryLayerResult,
+        "interconnection": InterconnectionConstants,
+        "closed_loop": ClosedLoopDecreaseResult,
+    }
+    WITNESSES = {"witness", "witness_index"}
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return full_certificate(PEND, load_config().ocp_spec(0.01), CFG, BENCH_PLAN)
+
+    @classmethod
+    def written(cls, record_type) -> list[str]:
+        names = [f.name for f in dataclasses.fields(record_type)]
+        unwritten = {f.name for f in dataclasses.fields(record_type) if f.metadata}
+        assert unwritten == cls.WITNESSES & set(names)
+        return [name for name in names if name not in unwritten]
+
+    def test_each_record_writes_its_fields(self, report):
+        blob = json.loads(report.to_json())
+        for key, record_type in self.RECORDS.items():
+            assert list(blob[key]) == self.written(record_type), key
+            assert blob[key] == {name: getattr(getattr(report, key), name) for name in blob[key]}, key
+        for name, record in report.constants.items():
+            assert list(blob["constants"][name]) == self.written(Estimate)
+            assert blob["constants"][name] == {"value": record.value, "tag": record.tag, "samples": record.samples}
+        assert [list(v) for v in blob["verdicts"]] == [self.written(Verdict)] * len(report.verdicts)
+        assert blob["kappa"]["kappa_threshold"] == report.kappa.kappa_threshold
+        assert blob["reduced_bounds"]["increment_centered"] == report.reduced_bounds.increment_centered
+
+    def test_interconnection_rebuilt_from_its_inputs(self, report):
+        ic = json.loads(report.to_json())["interconnection"]
+        c4, Lf, d4, Lh, LG = (ic[name] for name in ("c4", "lip_slow", "fast_increment", "lip_h", "lip_G"))
+        rebuilt = {
+            "k1": 2.0 * c4 * Lf,
+            "k2": 2.0 * c4 * Lf**2,
+            "k3": c4 * Lf**2,
+            "k4": 2.0 * d4 * Lh * LG * Lf,
+            "k5": 2.0 * d4 * Lh**2 * Lf**2,
+            "k6": 2.0 * d4 * Lh * LG * Lf,
+            "k7": d4 * Lh**2 * Lf**2,
+            "k8": d4 * Lh**2 * Lf**2,
+        }
+        for name, value in rebuilt.items():
+            assert ic[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+    def test_delta_bar_is_the_coupling_boundary(self, report):
+        blob = json.loads(report.to_json())
+        coupling_pd, delta_bar = load_benchmark_checks().coupling_pd, blob["delta_bar"]
+        assert delta_bar is not None and coupling_pd(blob["interconnection"], delta_bar)
+        if delta_bar < BENCH_PLAN.delta_cap:
+            assert not coupling_pd(blob["interconnection"], 1.00001 * delta_bar)
 
 
 class TestClosedLoopDecrease:

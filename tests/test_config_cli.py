@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,19 @@ class TestConfigParsing:
         assert spec.horizon_N == 50
         assert np.array_equal(spec.state_weight, np.diag([100.0, 0.1]))
         assert spec.input_box[1][0] == 24.0
+
+    def test_readme_example_builds_every_object(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfgfile = tmp_path / "readme.cfg"
+        cfgfile.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = load_config(str(cfgfile))
+        builders = ("pendulum_params", "model", "sim_model", "ocp_spec", "solver_config", "sim_config", "sampling_plan")
+        for name in builders:
+            getattr(cfg, name)()
+        assert (cfg["solver"]["step_rule"], cfg["sim"]["strategy"], cfg["certify"]["model"]) == (
+            "backtracking", "proposed", "pendulum"
+        )
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "run")]) == EXIT_OK
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown section"):

@@ -660,7 +660,7 @@ def reference_solve_optimal(spec, model, config, x0, z):
         hess[active, active] = 1.0
         step = np.linalg.solve(hess, g)
         noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(j))
-        trial = reference_armijo(spec, model, x0, z, g, step, j, config.alpha0, config, noise_floor)
+        trial = reference_armijo(spec, model, x0, z, g, step, j, 1.0, config, noise_floor)
         if trial is None:
             rejected += 1
             break
@@ -741,18 +741,21 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_solve_optimal(self, case):
         # to tolerance; out of budget (the pendulum: one Newton step solves the linear problem);
-        # a one-trial line search from too long a step, which stops the solve
-        configs = (SolverConfig(), SolverConfig(max_optimal_iters=2), SolverConfig(alpha0=8.0, max_backtracks=1))
+        # a one-trial line search whose Armijo slope no Newton step meets, which stops the solve;
+        # a gradient step that is no Newton trial
+        configs = (
+            SolverConfig(),
+            SolverConfig(max_optimal_iters=2),
+            SolverConfig(armijo_c=0.99, max_backtracks=1),
+            SolverConfig(alpha0=8.0, max_backtracks=1),
+        )
         for config in configs:
             for spec, model, x0, z in self.samples(case, 15):
-                self.assert_same(
-                    solve_optimal(spec, model, config, x0, z),
-                    reference_solve_optimal(spec, model, config, x0, z),
-                    spec,
-                    model,
-                    x0,
-                )
+                state = solve_optimal(spec, model, config, x0, z)
+                self.assert_same(state, reference_solve_optimal(spec, model, config, x0, z), spec, model, x0)
                 self.assert_same_given_prediction(solve_optimal, spec, model, config, x0, z)
+                if config.armijo_c == 0.99:
+                    assert state.rejected_steps == 1 and not state.converged
 
 
 def loop_rollout(spec, model, x0, z):

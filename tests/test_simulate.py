@@ -127,6 +127,16 @@ class TestSimulate:
         for name in ("x", "xi", "u", "err_norm", "err_theta", "stage_cost", "pg_norm"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
+    @pytest.mark.parametrize("step_rule", ["backtracking", "fixed"])
+    def test_opt_full_iterations_do_not_depend_on_the_gradient_step(self, step_rule):
+        # alpha0 is the fixed-budget map's step; the solve to tolerance always tries the full Newton step first
+        spec = load_config().ocp_spec(0.01)
+        sim_config = SimConfig(delta=0.01, duration_s=0.3, strategy=STRATEGIES["opt-full"])
+        default = simulate(PEND, spec, CFG, sim_config)
+        short = simulate(PEND, spec, SolverConfig(step_rule=step_rule, alpha0=0.3), sim_config)
+        assert np.array_equal(short.solver_iters, default.solver_iters)
+        assert np.array_equal(short.x, default.x)
+
     def test_inputs_respect_saturation(self):
         spec = load_config().ocp_spec(0.1)
         trace = simulate(PEND, spec, CFG, SimConfig(delta=0.1, duration_s=4.0))
