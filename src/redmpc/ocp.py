@@ -420,7 +420,7 @@ def _armijo_backtrack(
 
 def iterate_map(
     spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z, prediction=None
-) -> tuple[np.ndarray, int, np.ndarray | None]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """Raw fixed-budget update used by ``solver_map`` and the certification sampling.
 
     The iteration map is a self-map on the feasible box, so the incoming
@@ -430,10 +430,10 @@ def iterate_map(
     Armijo condition along the projection arc holds, and rejects the step
     (``z`` unchanged) if no trial passes. The gradient and the Armijo
     reference share one rollout, and an accepted trial's rollout serves the
-    next iteration. ``prediction``, the caller's rollout of ``(x0, z)``,
-    stands in for the first rollout (see ``solver_map``). Returns the updated
-    stacked sequence, the number of rejected steps and the rollout of the
-    result (``None`` after a fixed-rule step).
+    next iteration; a fixed-rule step rolls out its result. ``prediction``,
+    the caller's rollout of ``(x0, z)``, stands in for the first rollout (see
+    ``solver_map``). Returns the updated stacked sequence, the number of
+    rejected steps and the rollout of the result.
 
     A batch steps every lane with its own line search; the rejected steps are
     summed over the lanes.
@@ -442,33 +442,32 @@ def iterate_map(
     z, rejected, states, _ = _iterate(spec, model, config, x0, z, batched, prediction)
     if batched:
         return z, rejected, states
-    return z[0], rejected, None if states is None else states[0]
+    return z[0], rejected, states[0]
 
 
 def _iterate(
     spec: OcpSpec, model: PlantModel, config: SolverConfig, x0: np.ndarray, z: np.ndarray, batched: bool, prediction
-) -> tuple[np.ndarray, int, np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """``iterate_map`` on checked lanes: the result, the rejected steps, and its rollout and objective per lane.
 
     The objective is the line search's value at each lane's accepted trial,
-    or the lane's start value when it rejected every trial; the rollout and
-    objective are ``None`` after a fixed-rule step.
+    or the lane's start value when it rejected every trial; after a
+    fixed-rule step it is evaluated on the result's rollout.
     """
     z, states = _start(spec, model, x0, z, batched, prediction)
     rejected, values = 0, None
     for _ in range(config.iters_per_sample):
-        if states is None:
-            states = _checked(_rollout(spec, model, x0, z))
         g = _adjoint(spec, model, states, z)
         if config.step_rule == "fixed":
-            z, states, values = _project(spec, z - config.alpha0 * g), None, None
+            z = _project(spec, z - config.alpha0 * g)
+            states = _checked(_rollout(spec, model, x0, z))
             continue
         if values is None:
             values = _value(spec, states, z)
         points, trial_values, trials, ok = _armijo_backtrack(spec, model, x0, z, g, g, values, config.alpha0, config)
         z[ok], states[ok], values[ok] = points[ok], trials[ok], trial_values[ok]
         rejected += int(np.count_nonzero(~ok))
-    return z, rejected, states, values
+    return z, rejected, states, _value(spec, states, z) if values is None else values
 
 
 def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z, prediction=None) -> OptimizerState:
@@ -476,9 +475,8 @@ def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z, pr
 
     Applies exactly ``config.iters_per_sample`` projected gradient iterations
     and records, at the result, the final projected-gradient norm, the
-    rollout (``prediction``) and the objective (``value``): the accepted
-    trial's rollout and line-search value when the line search has taken
-    one, else a new rollout. ``prediction``, when given, is the caller's rollout
+    rollout (``prediction``) and the objective (``value``) that
+    ``iterate_map`` returns. ``prediction``, when given, is the caller's rollout
     of ``(x0, z)``, for example a previous result's ``shift_prediction``; it
     stands in for the first rollout, so a backtracking step whose first
     trial passes costs one rollout instead of two. Its first state must
@@ -487,9 +485,6 @@ def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z, pr
     """
     x0, z, batched = _lanes(spec, model, x0, z)
     z, rejected, states, values = _iterate(spec, model, config, x0, z, batched, prediction)
-    if states is None:
-        states = _checked(_rollout(spec, model, x0, z))
-        values = _value(spec, states, z)
     pg = _pg_norm(spec, z, _adjoint(spec, model, states, z))
     return _optimizer_state(batched, z, config.iters_per_sample, pg, True, rejected, states, values)
 

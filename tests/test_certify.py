@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -533,8 +534,15 @@ def load_benchmark_checks():
     return module
 
 
+@pytest.fixture(scope="module")
+def report():
+    """The pendulum certificate on the benchmark plan; it passes every verdict."""
+    return full_certificate(PEND, load_config().ocp_spec(0.01), CFG, BENCH_PLAN)
+
+
 class TestCertificateJson:
-    """certificate.json writes what the result records hold, and k1..k8 and delta_bar follow from it alone."""
+    """certificate.json writes what the result records hold, certificate.txt prints it, and k1..k8 and
+    delta_bar follow from it alone."""
 
     RECORDS = {
         "fast_bounds": QuadraticBounds,
@@ -545,18 +553,10 @@ class TestCertificateJson:
         "interconnection": InterconnectionConstants,
         "closed_loop": ClosedLoopDecreaseResult,
     }
-    WITNESSES = {"witness", "witness_index"}
 
-    @pytest.fixture(scope="class")
-    def report(self):
-        return full_certificate(PEND, load_config().ocp_spec(0.01), CFG, BENCH_PLAN)
-
-    @classmethod
-    def written(cls, record_type) -> list[str]:
-        names = [f.name for f in dataclasses.fields(record_type)]
-        unwritten = {f.name for f in dataclasses.fields(record_type) if f.metadata}
-        assert unwritten == cls.WITNESSES & set(names)
-        return [name for name in names if name not in unwritten]
+    @staticmethod
+    def written(record_type) -> list[str]:
+        return [f.name for f in dataclasses.fields(record_type)]
 
     def test_each_record_writes_its_fields(self, report):
         blob = json.loads(report.to_json())
@@ -569,6 +569,21 @@ class TestCertificateJson:
         assert [list(v) for v in blob["verdicts"]] == [self.written(Verdict)] * len(report.verdicts)
         assert blob["kappa"]["kappa_threshold"] == report.kappa.kappa_threshold
         assert blob["reduced_bounds"]["increment_centered"] == report.reduced_bounds.increment_centered
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["benchmark-plan", "failing-linear"])
+    def test_text_prints_every_json_field(self, report, failing):
+        certificate = full_certificate(*default_linear_case(BENCH_PLAN)) if failing else report
+        lines = certificate.to_text().splitlines()
+        entries = certificate.to_json_dict()
+        printed = {line.strip().split(": ", 1)[0]: line.split(": ", 1)[1] for line in lines if ": " in line}
+        records = dict(entries.pop("constants"))
+        records.update((key, value) for key, value in entries.items() if isinstance(value, dict))
+        assert records.keys() >= {"ranges", "fast_bounds", "boundary", "interconnection", "lip_extra"}
+        for key, record in records.items():
+            # a record's line is its fields as key=value pairs, in order
+            assert re.findall(r"(?:^| )(\w+)=", printed[key]) == list(record), key
+        assert [line for line in lines if line.startswith("[")] == [v.line() for v in certificate.verdicts]
+        assert lines[-1] == f"overall: {'PASS' if certificate.overall_pass else 'FAIL'}"
 
     def test_interconnection_rebuilt_from_its_inputs(self, report):
         ic = json.loads(report.to_json())["interconnection"]
@@ -594,6 +609,62 @@ class TestCertificateJson:
             assert not coupling_pd(blob["interconnection"], 1.00001 * delta_bar)
 
 
+class TestVerdictsCanFail:
+    """A verdict that passes on the benchmark plan fails under one change of the model or plan,
+    and a failed record writes its witness to certificate.json."""
+
+    @staticmethod
+    def failed(report) -> set[str]:
+        return {v.name for v in report.verdicts if not v.passed}
+
+    def test_linear_boundary_layer_fails_with_its_witness(self, report):
+        model, spec, config, plan = default_linear_case(BENCH_PLAN)
+        linear = full_certificate(model, spec, config, plan)
+        assert self.failed(linear) == {"boundary-layer-decrease", "coupling-condition"}
+        assert not linear.overall_pass and report.overall_pass
+        boundary = json.loads(linear.to_json())["boundary"]
+        assert not boundary["passed"] and json.loads(report.to_json())["boundary"]["witness"] is None
+        assert boundary["witness"] == [part.tolist() for part in linear.boundary.witness]
+        # the witness alone fails the check again
+        x, xi_err, z_err = linear.boundary.witness
+        zstar = solve_optimal(spec, model, config, x, np.zeros_like(z_err)).z
+        z_next, _, _ = iterate_map(spec, model, config, x, zstar + z_err)
+        one = (x[None], zstar[None], xi_err[None, None], z_err[None, None], z_next[None, None])
+        assert not boundary_layer_check(model, spec, linear.kappa.kappa, *one).passed
+
+    def test_linear_optimizer_decrease_fails_with_its_witness(self):
+        linear = full_certificate(*default_linear_case(SamplingPlan()))
+        assert "optimizer-decrease" in self.failed(linear) and not linear.overall_pass
+        bounds, written = linear.optimizer_bounds, json.loads(linear.to_json())["optimizer_bounds"]
+        assert bounds.decrease < 0.0 and bounds.witness is not None
+        assert written["witness"] == bounds.witness.tolist() and written["witness_index"] == bounds.witness_index
+
+    MUTATIONS = {
+        # the fast map misses its equilibrium by 1e-9
+        "equilibrium-identity": lambda model: setattr(
+            model, "extra_map", lambda xi, x, u, delta: ActuatedPendulum.extra_map(model, xi, x, u, delta) + 1e-9
+        ),
+        # the analytic slow-coupling constant understates the sampled ratio
+        "slow-coupling": lambda model: setattr(model, "lip_target_fast", model.lip_target_fast / 2.0),
+    }
+
+    @pytest.mark.parametrize("verdict", sorted(MUTATIONS))
+    def test_mutated_model_fails(self, report, verdict):
+        model = ActuatedPendulum()
+        self.MUTATIONS[verdict](model)
+        mutated = full_certificate(model, load_config().ocp_spec(0.01), CFG, BENCH_PLAN)
+        assert report.overall_pass and verdict in {v.name for v in report.verdicts}
+        assert verdict in self.failed(mutated)
+        assert not mutated.overall_pass and mutated.to_text().endswith("\noverall: FAIL")
+
+    def test_slow_coupling_needs_an_analytic_constant(self):
+        model, spec, config, plan = linear_case()
+        model.lip_target_fast = None
+        sampled = full_certificate(model, spec, config, plan)
+        assert "slow-coupling" not in {v.name for v in sampled.verdicts}
+        assert sampled.constants["lip_slow_coupling"].tag == "sampled-lower-bound"
+
+
 class TestClosedLoopDecrease:
     def test_linear_decrease_below_bound(self):
         lin = LinearTwoTimescale()
@@ -611,6 +682,13 @@ def linear_case():
         multistart_points=3, u_range=(-10.0, 10.0), xi_range=(-10.0, 10.0),
     )
     return LinearTwoTimescale(), linear_spec(), SolverConfig(iters_per_sample=40), plan
+
+
+def default_linear_case(plan):
+    """The default config's linear model, problem and solver, under ``plan``."""
+    config = load_config(overrides={"certify": {"model": "linear"}})
+    model = config.model()
+    return model, config.ocp_spec(model=model), config.solver_config(), plan
 
 
 def starved_case(max_optimal_iters, seed=0):
@@ -655,8 +733,7 @@ def lone_iterate_map(spec, model, config, x0, z):
     if np.ndim(z) == 1:
         return iterate_map(spec, model, config, x0, z)
     lone = [iterate_map(spec, model, config, x, zk) for x, zk in zip(x0, z)]
-    states = None if lone[0][2] is None else np.array([s for _, _, s in lone])
-    return np.array([zk for zk, _, _ in lone]), sum(r for _, r, _ in lone), states
+    return np.array([zk for zk, _, _ in lone]), sum(r for _, r, _ in lone), np.array([s for _, _, s in lone])
 
 
 class TestOneColdSolve:

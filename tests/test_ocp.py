@@ -259,7 +259,7 @@ class TestIterateMap:
         cfg = SolverConfig(step_rule="fixed", alpha0=0.25)
         z, rejected, states = iterate_map(TOY_SPEC, TOY, cfg, [-1.0], [0.0])
         assert z[0] == pytest.approx(0.5, abs=1e-15)
-        assert rejected == 0 and states is None
+        assert rejected == 0 and np.array_equal(states, rollout(TOY_SPEC, TOY, [-1.0], z))
 
     def test_fixed_step_is_projected_gradient_step(self):
         spec = load_config().ocp_spec(0.1)
