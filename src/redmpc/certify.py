@@ -65,10 +65,19 @@ class CertificationError(ValueError):
 
 
 class _Record:
-    """A result record: ``as_dict`` holds its dataclass fields in declaration order."""
+    """A record: ``as_dict`` holds its dataclass fields in declaration order, as plain values."""
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    """``value`` with every record, dict and list inside it written as plain dicts and lists."""
+    if isinstance(value, _Record):
+        return value.as_dict()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return [_plain(item) for item in value] if isinstance(value, list) else value
 
 
 def _text(value) -> str:
@@ -81,7 +90,7 @@ def _text(value) -> str:
 
 
 @dataclass(frozen=True)
-class SamplingPlan:
+class SamplingPlan(_Record):
     """Sample counts, ranges, and the safety factor applied to sampled constants.
 
     The model supplies the state ranges (``PlantModel.state_box``); the
@@ -89,28 +98,29 @@ class SamplingPlan:
     ``state_ball`` bounds the states at which the optimizer's minimizer is
     evaluated; error samples for the boundary layer live in balls of radius
     ``error_ball`` with norms bounded away from zero by ``error_min_norm``.
+    Every field but the two ranges is a ``[certify]`` key, in this order.
     """
 
     seed: int = 0
-    xi_range: tuple[float, float] = (-40.0, 40.0)
-    u_range: tuple[float, float] = (-24.0, 24.0)
     lipschitz_pairs: int = 2000
     equilibrium_samples: int = 10_000
     fast_samples: int = 2000
-    state_ball: float = 1.0
     n_states: int = 25
     optimizer_pairs_per_state: int = 44
     boundary_samples: int = 10_000
-    error_ball: float = 1.0
-    error_min_norm: float = 0.05
     n_value_states: int = 160
     map_pairs: int = 200
-    near_eq_ball: float = 0.5
     closed_loop_samples: int = 1000
     multistart_states: int = 4
     multistart_points: int = 8
     safety_factor: float = 1.5
     delta_cap: float = 0.2
+    state_ball: float = 1.0
+    error_ball: float = 1.0
+    error_min_norm: float = 0.05
+    near_eq_ball: float = 0.5
+    xi_range: tuple[float, float] = (-40.0, 40.0)
+    u_range: tuple[float, float] = (-24.0, 24.0)
 
     def __post_init__(self):
         # Every count needs one sample. One start per state only finds its own
@@ -134,20 +144,6 @@ class SamplingPlan:
         ranges = {"x": model.state_box(self.state_ball), "xi": xi, "u": u}
         lo, hi = np.array([r for part in parts for r in ranges[part]], dtype=float).T
         return lo, hi
-
-    def ranges_dict(self, model: PlantModel) -> dict:
-        """The ranges a certificate of ``model`` samples from, as plain lists and floats."""
-        state_lo, state_hi = self.box(model, "x")
-        return {
-            "state_lo": state_lo.tolist(),
-            "state_hi": state_hi.tolist(),
-            "xi": list(self.xi_range),
-            "u": list(self.u_range),
-            "state_ball": self.state_ball,
-            "error_ball": self.error_ball,
-            "error_min_norm": self.error_min_norm,
-            "near_eq_ball": self.near_eq_ball,
-        }
 
 
 @dataclass
@@ -549,6 +545,7 @@ def closed_loop_decrease_check(
     runs at the old state x from the unshifted z, there at the new state
     from ``warm_start_shift(z)``. With this update the simulated loop stops
     converging at delta 0.1 and 0.2, so only this check can change to match.
+    Raises ``CertificationError`` when a minimizer solve misses its tolerance.
     """
     rng = np.random.default_rng(plan.seed + 2)
     spec_d = replace(spec, delta=delta)
@@ -607,14 +604,17 @@ class Verdict(_Record):
 
 
 @dataclass
-class CertificateReport:
-    """Everything the certification pipeline measured, with per-condition verdicts."""
+class CertificateReport(_Record):
+    """Everything the certification pipeline measured, with per-condition verdicts.
 
-    model_name: str
+    ``plan`` is the sampling plan and ``state_box`` the model's state ranges under it.
+    """
+
+    model: str
     delta: float
     horizon_N: int
     plan: SamplingPlan
-    ranges: dict  # the plan's ranges for this model (``SamplingPlan.ranges_dict``)
+    state_box: list[tuple[float, float]]
     constants: dict[str, Estimate] = field(default_factory=dict)
     fast_bounds: QuadraticBounds | None = None
     optimizer_bounds: QuadraticBounds | None = None
@@ -625,7 +625,7 @@ class CertificateReport:
     delta_bar: float | None = None
     delta_bar_reason: str = ""
     closed_loop: ClosedLoopDecreaseResult | None = None
-    multistart_spread: float = math.nan
+    multistart_spread: float | None = None
     verdicts: list[Verdict] = field(default_factory=list)
 
     @property
@@ -644,29 +644,7 @@ class CertificateReport:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        def record(result: _Record | None) -> dict | None:
-            return None if result is None else result.as_dict()
-
-        return {
-            "model": self.model_name,
-            "delta": self.delta,
-            "horizon_N": self.horizon_N,
-            "ranges": self.ranges,
-            "safety_factor": self.plan.safety_factor,
-            "constants": {k: e.as_dict() for k, e in self.constants.items()},
-            "fast_bounds": record(self.fast_bounds),
-            "optimizer_bounds": record(self.optimizer_bounds),
-            "reduced_bounds": record(self.reduced_bounds),
-            "kappa": record(self.kappa),
-            "boundary": record(self.boundary),
-            "interconnection": record(self.interconnection),
-            "delta_bar": self.delta_bar,
-            "delta_bar_reason": self.delta_bar_reason,
-            "closed_loop": record(self.closed_loop),
-            "multistart_spread": None if math.isnan(self.multistart_spread) else self.multistart_spread,
-            "verdicts": [v.as_dict() for v in self.verdicts],
-            "overall_pass": self.overall_pass,
-        }
+        return self.as_dict() | {"overall_pass": self.overall_pass}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, default=np.ndarray.tolist)
@@ -957,8 +935,14 @@ def _interconnection(plan, constants, reduced_bounds, kappa, fast_decrease):
 
 
 def _closed_loop(model, spec, solver_config, plan, kappa, delta):
-    """Sampled composite decrease along interconnected steps at timescale ``delta``."""
-    cl = closed_loop_decrease_check(model, spec, solver_config, kappa, delta, plan)
+    """Sampled composite decrease along interconnected steps at timescale ``delta``.
+
+    Returns ``None`` with a failed verdict when a minimizer solve misses its tolerance.
+    """
+    try:
+        cl = closed_loop_decrease_check(model, spec, solver_config, kappa, delta, plan)
+    except CertificationError as exc:
+        return None, [Verdict("closed-loop-decrease", False, str(exc))]
     detail = (
         f"composite value decreased on {cl.samples} sampled steps at delta = {cl.delta:.3e} "
         f"(worst margin {cl.worst_margin:.3e})"
@@ -990,7 +974,7 @@ def full_certificate(
     """
     plan = plan or SamplingPlan()
     rng = np.random.default_rng(plan.seed)
-    report = CertificateReport(model.name, spec.delta, spec.horizon_N, plan, plan.ranges_dict(model))
+    report = CertificateReport(model.name, spec.delta, spec.horizon_N, plan, model.state_box(plan.state_ball))
 
     def run(stage, *args):
         result, verdicts = stage(*args)

@@ -55,15 +55,14 @@ def _checked(build):
     return checked
 
 
-def _fields(cls, *keys: str) -> dict[str, tuple]:
-    """``key -> (type of its default, default)`` for the named fields of the dataclass ``cls``."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    return {key: (type(defaults[key]), defaults[key]) for key in keys}
+def _fields(cls, *excluded: str) -> dict[str, tuple]:
+    """``key -> (type of its default, default)`` for every field of the dataclass ``cls`` but ``excluded``."""
+    return {f.name: (type(f.default), f.default) for f in fields(cls) if f.name not in excluded}
 
 
 # section -> key -> (parser, default)
 DEFAULTS: dict[str, dict[str, tuple]] = {
-    "pendulum": _fields(PendulumParams, "l", "mass", "beta", "J", "K_t", "K_e", "R_ohm", "L_tilde", "grav"),
+    "pendulum": _fields(PendulumParams),
     "ocp": {
         "delta": (float, 0.01),
         "horizon_steps": (str, "auto"),
@@ -75,10 +74,7 @@ DEFAULTS: dict[str, dict[str, tuple]] = {
         "qf_omega": (float, 0.1),
         "u_max": (float, 24.0),
     },
-    "solver": _fields(
-        SolverConfig,
-        "iters_per_sample", "step_rule", "alpha0", "shrink", "armijo_c", "optimal_tol", "max_optimal_iters",
-    ),
+    "solver": _fields(SolverConfig, "max_backtracks"),
     "sim": {
         "duration_s": (float, 10.0),
         "theta0": (float, 1.0),
@@ -89,13 +85,7 @@ DEFAULTS: dict[str, dict[str, tuple]] = {
     },
     "certify": {
         "model": (_one_of("model", ("pendulum", "linear")), "pendulum"),
-        **_fields(
-            SamplingPlan,
-            "seed", "lipschitz_pairs", "equilibrium_samples", "fast_samples", "n_states", "optimizer_pairs_per_state",
-            "boundary_samples", "n_value_states", "map_pairs", "closed_loop_samples", "multistart_states",
-            "multistart_points", "safety_factor", "delta_cap", "state_ball", "error_ball", "error_min_norm",
-            "near_eq_ball",
-        ),
+        **_fields(SamplingPlan, "xi_range", "u_range"),
     },
 }
 
@@ -206,8 +196,8 @@ class Config:
     def sampling_plan(self) -> SamplingPlan:
         """The plan from every [certify] key but ``model``, inputs within +-u_max."""
         u_max = float(self.values["ocp"]["u_max"])
-        keys = DEFAULTS["certify"].keys() - {"model"}
-        return SamplingPlan(u_range=(-u_max, u_max), **{key: self.values["certify"][key] for key in keys})
+        plan = {key: value for key, value in self.values["certify"].items() if key != "model"}
+        return SamplingPlan(u_range=(-u_max, u_max), **plan)
 
     @property
     def skip_fraction(self) -> float:

@@ -418,9 +418,7 @@ def _armijo_backtrack(
     return points, values, states, accepted
 
 
-def iterate_map(
-    spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z, prediction=None
-) -> tuple[np.ndarray, int, np.ndarray]:
+def iterate_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z) -> tuple[np.ndarray, int, np.ndarray]:
     """Raw fixed-budget update used by ``solver_map`` and the certification sampling.
 
     The iteration map is a self-map on the feasible box, so the incoming
@@ -430,16 +428,15 @@ def iterate_map(
     Armijo condition along the projection arc holds, and rejects the step
     (``z`` unchanged) if no trial passes. The gradient and the Armijo
     reference share one rollout, and an accepted trial's rollout serves the
-    next iteration; a fixed-rule step rolls out its result. ``prediction``,
-    the caller's rollout of ``(x0, z)``, stands in for the first rollout (see
-    ``solver_map``). Returns the updated stacked sequence, the number of
-    rejected steps and the rollout of the result.
+    next iteration; a fixed-rule step rolls out its result. Returns the
+    updated stacked sequence, the number of rejected steps and the rollout of
+    the result.
 
     A batch steps every lane with its own line search; the rejected steps are
     summed over the lanes.
     """
     x0, z, batched = _lanes(spec, model, x0, z)
-    z, rejected, states, _ = _iterate(spec, model, config, x0, z, batched, prediction)
+    z, rejected, states, _ = _iterate(spec, model, config, x0, z, batched, None)
     if batched:
         return z, rejected, states
     return z[0], rejected, states[0]

@@ -518,8 +518,8 @@ class TestFullCertificate:
         blob = json.loads(rep.to_json())
         assert blob["model"] == "linear"
         # the linear model's state is sampled from +-4 state_ball
-        assert blob["ranges"]["state_lo"] == [-4.0] and blob["ranges"]["state_hi"] == [4.0]
-        assert "theta" not in blob["ranges"] and "omega" not in blob["ranges"]
+        assert blob["state_box"] == [[-4.0, 4.0]]
+        assert blob["plan"] == json.loads(json.dumps(dataclasses.asdict(plan)))
         assert isinstance(blob["verdicts"], list)
         assert blob["overall_pass"] == rep.overall_pass
 
@@ -570,6 +570,12 @@ class TestCertificateJson:
         assert blob["kappa"]["kappa_threshold"] == report.kappa.kappa_threshold
         assert blob["reduced_bounds"]["increment_centered"] == report.reduced_bounds.increment_centered
 
+    def test_plan_rebuilds_from_its_config_keys(self, report):
+        written = json.loads(report.to_json())["plan"]
+        assert list(written) == self.written(SamplingPlan)
+        keys = {key: value for key, value in written.items() if key not in ("xi_range", "u_range")}
+        assert load_config(overrides={"certify": keys}).sampling_plan() == report.plan
+
     @pytest.mark.parametrize("failing", [False, True], ids=["benchmark-plan", "failing-linear"])
     def test_text_prints_every_json_field(self, report, failing):
         certificate = full_certificate(*default_linear_case(BENCH_PLAN)) if failing else report
@@ -578,7 +584,7 @@ class TestCertificateJson:
         printed = {line.strip().split(": ", 1)[0]: line.split(": ", 1)[1] for line in lines if ": " in line}
         records = dict(entries.pop("constants"))
         records.update((key, value) for key, value in entries.items() if isinstance(value, dict))
-        assert records.keys() >= {"ranges", "fast_bounds", "boundary", "interconnection", "lip_extra"}
+        assert records.keys() >= {"plan", "fast_bounds", "boundary", "interconnection", "lip_extra"}
         for key, record in records.items():
             # a record's line is its fields as key=value pairs, in order
             assert re.findall(r"(?:^| )(\w+)=", printed[key]) == list(record), key
@@ -656,6 +662,21 @@ class TestVerdictsCanFail:
         assert report.overall_pass and verdict in {v.name for v in report.verdicts}
         assert verdict in self.failed(mutated)
         assert not mutated.overall_pass and mutated.to_text().endswith("\noverall: FAIL")
+
+    OCP_CHANGES = {
+        # two prediction steps and no terminal weight: c3 = -184.12
+        "short-horizon": {"horizon_steps": "2", "qf_theta": "0", "qf_omega": "0"},
+        # no weight on the angle: c3 = -17.667
+        "no-angle-weight": {"q_theta": "0", "qf_theta": "0"},
+    }
+
+    @pytest.mark.parametrize("change", sorted(OCP_CHANGES))
+    def test_reduced_value_decrease_fails(self, report, change):
+        config = load_config(overrides={"ocp": self.OCP_CHANGES[change]})
+        changed = full_certificate(PEND, config.ocp_spec(), config.solver_config(), BENCH_PLAN)
+        assert "reduced-value-decrease" in {v.name for v in report.verdicts if v.passed}
+        assert self.failed(changed) == {"reduced-value-decrease", "coupling-condition"}
+        assert changed.reduced_bounds.decrease < 0.0 and changed.reduced_bounds.witness is not None
 
     def test_slow_coupling_needs_an_analytic_constant(self):
         model, spec, config, plan = linear_case()
@@ -819,9 +840,9 @@ class TestOneColdSolve:
         model, spec, config, plan = CASES["benchmark-plan"]()
         calls = []
 
-        def recording(spec_arg, model_arg, config_arg, x0, z, prediction=None):
-            calls.append((spec_arg.delta, len(x0), prediction))
-            return iterate_map(spec_arg, model_arg, config_arg, x0, z, prediction)
+        def recording(spec_arg, model_arg, config_arg, x0, z):
+            calls.append((spec_arg.delta, len(x0)))
+            return iterate_map(spec_arg, model_arg, config_arg, x0, z)
 
         monkeypatch.setattr(certify_module, "iterate_map", recording)
         report = full_certificate(model, spec, config, plan)
@@ -829,7 +850,7 @@ class TestOneColdSolve:
         per_state = max(1, plan.boundary_samples // plan.n_states)
         lanes = plan.n_states * plan.optimizer_pairs_per_state + 2 * map_count + plan.n_states * per_state
         assert report.closed_loop is not None and report.closed_loop.delta == report.delta_bar / 2.0
-        assert calls == [(spec.delta, lanes, None), (report.delta_bar / 2.0, plan.closed_loop_samples, None)]
+        assert calls == [(spec.delta, lanes), (report.delta_bar / 2.0, plan.closed_loop_samples)]
 
     def test_each_stage_gets_the_step_of_its_own_lanes(self):
         # the shared step's rows of each stage equal that stage's own iterate_map call

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -6,8 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from redmpc.certify import SamplingPlan
 from redmpc.cli import EXIT_CERT_FAIL, EXIT_CONFIG, EXIT_OK, main
-from redmpc.config import ConfigError, load_config, manifest_text, parse_config_text
+from redmpc.config import DEFAULTS, ConfigError, load_config, manifest_text, parse_config_text
+from redmpc.ocp import SolverConfig
+from redmpc.plant import PendulumParams
 
 FAST_CERT = """
 [certify]
@@ -63,6 +67,18 @@ class TestConfigParsing:
             "backtracking", "proposed", "pendulum"
         )
         assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "run")]) == EXIT_OK
+
+    def test_keys_are_the_dataclass_fields(self):
+        def keys(cls, *excluded):
+            return [(f.name, f.default) for f in dataclasses.fields(cls) if f.name not in excluded]
+
+        sections = {
+            "pendulum": keys(PendulumParams),
+            "solver": keys(SolverConfig, "max_backtracks"),
+            "certify": [("model", "pendulum")] + keys(SamplingPlan, "xi_range", "u_range"),
+        }
+        for section, expected in sections.items():
+            assert [(key, default) for key, (_, default) in DEFAULTS[section].items()] == expected, section
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -346,6 +362,22 @@ class TestCliCertify:
         assert blob["overall_pass"] is False
         failed = {v["name"]: v for v in blob["verdicts"] if not v["passed"]}
         assert "fast-error-decrease" in failed
+
+    def test_unconverged_closed_loop_solve_fails_with_exit_2(self, tmp_path):
+        # one solver iteration misses the tolerance at closed-loop states far from x*
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(
+            FAST_CERT.replace("[solver]\n", "[solver]\nmax_optimal_iters = 1\n").replace(
+                "[certify]\n", "[certify]\nnear_eq_ball = 500\n"
+            )
+        )
+        out = tmp_path / "cert"
+        rc = main(["certify", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == EXIT_CERT_FAIL
+        assert (out / "certificate.txt").read_text().endswith("overall: FAIL\n")
+        blob = json.loads((out / "certificate.json").read_text())
+        failed = {v["name"]: v["detail"] for v in blob["verdicts"] if not v["passed"]}
+        assert "did not converge" in failed["closed-loop-decrease"] and blob["closed_loop"] is None
 
     def test_manifest_written_before_outputs(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"

@@ -378,7 +378,7 @@ class TestGivenPrediction:
     SPEC = load_config().ocp_spec(0.1)  # N = 5
     X0 = np.array([0.4, -0.2])
     Z = np.full(5, 3.0)
-    SOLVERS = {"iterate_map": iterate_map, "solver_map": solver_map, "solve_optimal": solve_optimal}
+    SOLVERS = {"solver_map": solver_map, "solve_optimal": solve_optimal}
 
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     def test_first_state_must_be_x0(self, solver):
@@ -732,8 +732,6 @@ class TestReferenceLoop:
             z_next, rejected, _ = iterate_map(spec, model, config, x0, z)
             ref_z, ref_rejected = reference_iterate(spec, model, config, x0, z)
             assert np.array_equal(z_next, ref_z) and rejected == ref_rejected
-            given = iterate_map(spec, model, config, x0, z, rollout(spec, model, x0, z))
-            assert np.array_equal(given[0], z_next) and given[1] == rejected
             state = solver_map(spec, model, config, x0, z)
             self.assert_same(state, reference_solver_map(spec, model, config, x0, z), spec, model, x0)
             self.assert_same_given_prediction(solver_map, spec, model, config, x0, z)
