@@ -93,12 +93,13 @@ def _text(value) -> str:
 class SamplingPlan(_Record):
     """Sample counts, ranges, and the safety factor applied to sampled constants.
 
-    The model supplies the state ranges (``PlantModel.state_box``); the
-    others cover the benchmark saturation bound with margin.
+    The model supplies the state ranges (``PlantModel.state_box``) and the
+    problem the input ranges (``OcpSpec.input_box``); ``xi_range`` covers the
+    extra state with margin.
     ``state_ball`` bounds the states at which the optimizer's minimizer is
     evaluated; error samples for the boundary layer live in balls of radius
     ``error_ball`` with norms bounded away from zero by ``error_min_norm``.
-    Every field but the two ranges is a ``[certify]`` key, in this order.
+    Every field but ``xi_range`` is a ``[certify]`` key, in this order.
     """
 
     seed: int = 0
@@ -120,7 +121,6 @@ class SamplingPlan(_Record):
     error_min_norm: float = 0.05
     near_eq_ball: float = 0.5
     xi_range: tuple[float, float] = (-40.0, 40.0)
-    u_range: tuple[float, float] = (-24.0, 24.0)
 
     def __post_init__(self):
         # Every count needs one sample. One start per state only finds its own
@@ -134,13 +134,13 @@ class SamplingPlan(_Record):
             _check_range(name, getattr(self, name))
         _check_range("error_min_norm", self.error_min_norm, 0.0, self.error_ball, closed=True)
 
-    def box(self, model: PlantModel, *parts: str) -> tuple[np.ndarray, np.ndarray]:
+    def box(self, model: PlantModel, spec: OcpSpec, *parts: str) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper corners of the sampled box over ``parts``, concatenated in order.
 
         Each part is "x" (plant state, over the model's ``state_box``), "xi"
-        (extra state) or "u" (input).
+        (extra state, over ``xi_range``) or "u" (input, over the problem's ``input_box``).
         """
-        xi, u = [self.xi_range] * model.p, [self.u_range] * model.m
+        xi, u = [self.xi_range] * model.p, np.transpose(spec.input_box)
         ranges = {"x": model.state_box(self.state_ball), "xi": xi, "u": u}
         lo, hi = np.array([r for part in parts for r in ranges[part]], dtype=float).T
         return lo, hi
@@ -607,7 +607,8 @@ class Verdict(_Record):
 class CertificateReport(_Record):
     """Everything the certification pipeline measured, with per-condition verdicts.
 
-    ``plan`` is the sampling plan and ``state_box`` the model's state ranges under it.
+    ``plan`` is the sampling plan, ``state_box`` the model's state ranges under it and
+    ``input_box`` the problem's input ranges, one ``[lo, hi]`` per component.
     """
 
     model: str
@@ -615,6 +616,7 @@ class CertificateReport(_Record):
     horizon_N: int
     plan: SamplingPlan
     state_box: list[tuple[float, float]]
+    input_box: list[list[float]]
     constants: dict[str, Estimate] = field(default_factory=dict)
     fast_bounds: QuadraticBounds | None = None
     optimizer_bounds: QuadraticBounds | None = None
@@ -660,10 +662,10 @@ class CertificateReport(_Record):
 # step from ``_frozen_step``.
 
 
-def _equilibrium_identity(model, plan, rng):
+def _equilibrium_identity(model, spec, plan, rng):
     """The fast map fixes its equilibrium: g(xi_eq(x, u), x, u, delta) = xi_eq(x, u)."""
     n = model.n
-    pts = _uniform_stream(rng, *plan.box(model, "x", "u"), plan.equilibrium_samples)
+    pts = _uniform_stream(rng, *plan.box(model, spec, "x", "u"), plan.equilibrium_samples)
     deltas = 10.0 ** rng.uniform(-3, math.log10(plan.delta_cap), plan.equilibrium_samples)
     x, u = pts[:, :n], pts[:, n:]
     xi_eq = model.equilibrium_map(x, u)
@@ -672,11 +674,11 @@ def _equilibrium_identity(model, plan, rng):
     return worst, [Verdict("equilibrium-identity", worst <= 1e-12, detail)]
 
 
-def _plant_lipschitz(model, plan, rng, delta):
+def _plant_lipschitz(model, spec, plan, rng):
     """Lipschitz constants of the plant maps: slow coupling, extra map, equilibrium map."""
-    n, p, m = model.n, model.p, model.m
+    n, p, m, delta = model.n, model.p, model.m, spec.delta
     # max |f(x, xi_a, u_a) - f(x, xi_b, u_b)| / (delta (|xi_a - xi_b| + |u_a - u_b|))
-    rows = _uniform_stream(rng, *plan.box(model, "x", "xi", "u", "xi", "u"), plan.lipschitz_pairs)
+    rows = _uniform_stream(rng, *plan.box(model, spec, "x", "xi", "u", "xi", "u"), plan.lipschitz_pairs)
     x = rows[:, :n]
     xi_a, u_a = rows[:, n : n + p], rows[:, n + p : n + p + m]
     xi_b, u_b = rows[:, n + p + m : n + 2 * p + m], rows[:, n + 2 * p + m :]
@@ -690,14 +692,14 @@ def _plant_lipschitz(model, plan, rng, delta):
         else Estimate(sampled, SAMPLED, plan.lipschitz_pairs),
         "lip_extra": estimate_lipschitz(
             lambda v: model.extra_map(v[:, :p], v[:, p : p + n], v[:, p + n :], delta),
-            *plan.box(model, "xi", "x", "u"),
+            *plan.box(model, spec, "xi", "x", "u"),
             plan.lipschitz_pairs,
             seed=plan.seed + 3,
             analytic=model.lip_extra,
         ),
         "lip_equilibrium": estimate_lipschitz(
             lambda v: model.equilibrium_map(v[:, :n], v[:, n:]),
-            *plan.box(model, "x", "u"),
+            *plan.box(model, spec, "x", "u"),
             plan.lipschitz_pairs,
             seed=plan.seed + 4,
             analytic=model.lip_equilibrium,
@@ -709,14 +711,14 @@ def _plant_lipschitz(model, plan, rng, delta):
     return constants, [Verdict("slow-coupling", sampled <= analytic * (1 + 1e-9), detail)]
 
 
-def _fast_bounds(model, plan, rng, delta):
+def _fast_bounds(model, spec, plan, rng):
     """a-constants: quadratic bounds of the fast error ||xi - xi_eq(x, u)||^2 at frozen (x, u)."""
     n = model.n
-    pts = _uniform_stream(rng, *plan.box(model, "x", "u"), plan.fast_samples)
+    pts = _uniform_stream(rng, *plan.box(model, spec, "x", "u"), plan.fast_samples)
     errors = _ball_samples(rng, model.p, plan.fast_samples, plan.error_ball * 2.0, 1e-3)
     x, u = pts[:, :n], pts[:, n:]
     xi_eq = model.equilibrium_map(x, u)
-    stepped = model.extra_map(errors + xi_eq, x, u, delta) - xi_eq
+    stepped = model.extra_map(errors + xi_eq, x, u, spec.delta) - xi_eq
     bounds = quadratic_bounds(np.sum(errors**2, axis=1), np.sum(stepped**2, axis=1), errors)
     detail = f"a3 = {bounds.decrease:.6g} over {bounds.samples} samples"
     return bounds, [Verdict("fast-error-decrease", bounds.ok, detail)]
@@ -974,16 +976,17 @@ def full_certificate(
     """
     plan = plan or SamplingPlan()
     rng = np.random.default_rng(plan.seed)
-    report = CertificateReport(model.name, spec.delta, spec.horizon_N, plan, model.state_box(plan.state_ball))
+    state_box, input_box = model.state_box(plan.state_ball), np.transpose(spec.input_box).tolist()
+    report = CertificateReport(model.name, spec.delta, spec.horizon_N, plan, state_box, input_box)
 
     def run(stage, *args):
         result, verdicts = stage(*args)
         report.verdicts.extend(verdicts)
         return result
 
-    run(_equilibrium_identity, model, plan, rng)
-    report.constants.update(run(_plant_lipschitz, model, plan, rng, spec.delta))
-    report.fast_bounds = run(_fast_bounds, model, plan, rng, spec.delta)
+    run(_equilibrium_identity, model, spec, plan, rng)
+    report.constants.update(run(_plant_lipschitz, model, spec, plan, rng))
+    report.fast_bounds = run(_fast_bounds, model, spec, plan, rng)
     states, zstars, optimizer_errors, map_errors, finals, at_values = run(
         _minimizer_solves, model, spec, solver_config, plan, rng
     )

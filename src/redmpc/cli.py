@@ -1,4 +1,4 @@
-"""Experiment driver: simulate, sweep, compare, certify.
+"""Experiment driver: simulate, sweep, certify.
 
 Exit codes: 0 success, 1 configuration error, 2 divergence-free run with a
 failed certification verdict, 3 runtime divergence in a simulation.
@@ -93,15 +93,16 @@ def cmd_simulate(args) -> int:
     return EXIT_DIVERGED if trace.diverged else EXIT_OK
 
 
-def _run_comparison(args, deltas: list[float] | None, command: str) -> int:
-    """Strategy table at each delta, or at the configured delta when ``deltas`` is None."""
+def cmd_sweep(args) -> int:
+    """Strategy table at each ``--deltas`` timescale, or at the configured one without ``--deltas``."""
     config = _load(args)
     model = config.sim_model()
-    specs = [config.ocp_spec(delta, model) for delta in deltas or [None]]
+    deltas = [None] if args.deltas is None else _parse_deltas(args.deltas)
+    specs = [config.ocp_spec(delta, model) for delta in deltas]
     solver_config, sim_config = config.solver_config(), config.sim_config()
     for spec in specs:  # the step count at each timescale, checked before any output
         config.sim_config(spec.delta)
-    out = _prepare_out(args, config, command)
+    out = _prepare_out(args, config, "sweep")
     rows = compare_strategies(model, specs, solver_config, sim_config, config.skip_fraction)
     write_comparison_csv(rows, os.path.join(out, "comparison.csv"))
     write_gnuplot_script(os.path.join(out, "plot.gp"), comparison_csv="comparison.csv")
@@ -111,14 +112,6 @@ def _run_comparison(args, deltas: list[float] | None, command: str) -> int:
             f"rate_per_s={r.rate_per_s:.6g} diverged={int(r.diverged)}"
         )
     return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    return _run_comparison(args, _parse_deltas(args.deltas), "sweep")
-
-
-def cmd_compare(args) -> int:
-    return _run_comparison(args, None, "compare")
 
 
 def cmd_certify(args) -> int:
@@ -152,12 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="strategy comparison across timescales; writes comparison.csv")
     common(p_sweep)
-    p_sweep.add_argument("--deltas", required=True, help="comma-separated timescale list, e.g. 0.01,0.1,0.2")
+    p_sweep.add_argument("--deltas", help="comma-separated timescales, e.g. 0.01,0.1,0.2 (default: [ocp] delta)")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_cmp = sub.add_parser("compare", help="strategy comparison at the configured timescale")
-    common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
 
     p_cert = sub.add_parser("certify", help="run the stability certification pipeline")
     common(p_cert)

@@ -14,9 +14,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams, PlantModel, _check_range, validate_delta
+from .plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams, PlantModel, validate_delta
+from .plant import _check_choice, _check_range
 from .ocp import OcpSpec, SolverConfig, horizon_for_delta
-from .simulate import STRATEGIES, SimConfig, Strategy
+from .simulate import STRATEGIES, SimConfig
 from .certify import SamplingPlan
 
 __all__ = ["ConfigError", "Config", "parse_config_text", "load_config", "DEFAULTS", "manifest_text"]
@@ -24,20 +25,6 @@ __all__ = ["ConfigError", "Config", "parse_config_text", "load_config", "DEFAULT
 
 class ConfigError(ValueError):
     """Invalid configuration: unknown key, bad value, or syntax error."""
-
-
-def _one_of(key: str, names):
-    """Parser of ``key`` that accepts one of ``names`` only."""
-
-    def parse(value: str) -> str:
-        if value not in names:
-            raise ConfigError(f"{key} must be one of {sorted(names)}, got {value!r}")
-        return value
-
-    return parse
-
-
-_strategy = _one_of("strategy", STRATEGIES)
 
 
 def _checked(build):
@@ -80,12 +67,12 @@ DEFAULTS: dict[str, dict[str, tuple]] = {
         "theta0": (float, 1.0),
         "omega0": (float, 0.0),
         "current0": (float, 0.0),
-        "strategy": (_strategy, "proposed"),
+        "strategy": (functools.partial(_check_choice, "strategy", allowed=STRATEGIES), "proposed"),
         "skip_fraction": (float, 0.1),
     },
     "certify": {
-        "model": (_one_of("model", ("pendulum", "linear")), "pendulum"),
-        **_fields(SamplingPlan, "xi_range", "u_range"),
+        "model": (functools.partial(_check_choice, "model", allowed=("pendulum", "linear")), "pendulum"),
+        **_fields(SamplingPlan, "xi_range"),
     },
 }
 
@@ -183,7 +170,7 @@ class Config:
         s = self.values["sim"]
         _check_range("skip_fraction", s["skip_fraction"], 0.0, 1.0, closed=True)
         delta = validate_delta(self.sim_model(), self.values["ocp"]["delta"] if delta is None else delta)
-        name = str(s["strategy"]) if strategy is None else _strategy(strategy)
+        name = _check_choice("strategy", s["strategy"] if strategy is None else strategy, STRATEGIES)
         return SimConfig(
             delta=delta,
             duration_s=float(s["duration_s"]),
@@ -194,10 +181,8 @@ class Config:
 
     @_checked
     def sampling_plan(self) -> SamplingPlan:
-        """The plan from every [certify] key but ``model``, inputs within +-u_max."""
-        u_max = float(self.values["ocp"]["u_max"])
-        plan = {key: value for key, value in self.values["certify"].items() if key != "model"}
-        return SamplingPlan(u_range=(-u_max, u_max), **plan)
+        """The plan from every [certify] key but ``model``."""
+        return SamplingPlan(**{key: value for key, value in self.values["certify"].items() if key != "model"})
 
     @property
     def skip_fraction(self) -> float:

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .plant import PlantModel, _check_range
+from .plant import PlantModel, _check_choice, _check_range
 
 __all__ = [
     "OcpSpec",
@@ -119,8 +119,7 @@ class SolverConfig:
     max_optimal_iters: int = 100_000
 
     def __post_init__(self):
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ValueError(f"step_rule must be 'backtracking' or 'fixed', got {self.step_rule!r}")
+        _check_choice("step_rule", self.step_rule, ("backtracking", "fixed"))
         for name in ("iters_per_sample", "max_backtracks", "max_optimal_iters"):
             _check_range(name, getattr(self, name), 1, closed=True)
         for name in ("alpha0", "optimal_tol"):

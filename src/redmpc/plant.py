@@ -53,6 +53,13 @@ def _check_range(name: str, value, low: float = 0.0, high: float = math.inf, clo
     return number
 
 
+def _check_choice(name: str, value, allowed):
+    """Setting ``name``, which must be one of ``allowed``."""
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {sorted(allowed)}, got {value!r}")
+    return value
+
+
 def validate_delta(model: "PlantModel", delta: float) -> float:
     delta = _check_range("delta", delta)
     if delta >= model.delta_max:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .plant import PlantModel, _as_vector, _check_range
+from .plant import PlantModel, _as_vector, _check_choice, _check_range
 from .ocp import (
     OcpSpec,
     SolverConfig,
@@ -61,10 +61,8 @@ class Strategy:
     solver_kind: str  # "suboptimal" | "optimal"
 
     def __post_init__(self):
-        if self.plant_kind not in ("full_order", "reduced_order"):
-            raise ValueError(f"plant_kind must be 'full_order' or 'reduced_order', got {self.plant_kind!r}")
-        if self.solver_kind not in ("suboptimal", "optimal"):
-            raise ValueError(f"solver_kind must be 'suboptimal' or 'optimal', got {self.solver_kind!r}")
+        _check_choice("plant_kind", self.plant_kind, ("full_order", "reduced_order"))
+        _check_choice("solver_kind", self.solver_kind, ("suboptimal", "optimal"))
 
     @property
     def label(self) -> str:

@@ -468,7 +468,6 @@ class TestFullCertificate:
             closed_loop_samples=40,
             multistart_states=1,
             multistart_points=3,
-            u_range=(-10.0, 10.0),
             xi_range=(-10.0, 10.0),
         )
         rep = full_certificate(lin, linear_spec(), SolverConfig(iters_per_sample=40), plan)
@@ -482,6 +481,12 @@ class TestFullCertificate:
         assert rep.optimizer_bounds.decrease == pytest.approx(1.0, abs=1e-3)
         # scalar quadratic value function: lower == upper
         assert rep.reduced_bounds.lower == pytest.approx(rep.reduced_bounds.upper, rel=1e-6)
+
+    def test_plan_samples_the_problems_input_box(self):
+        model, spec, solver_config, plan = linear_case()  # a problem with |u| <= 10
+        lo, hi = plan.box(model, spec, "u")
+        assert (lo.tolist(), hi.tolist()) == ([-10.0], [10.0])
+        assert full_certificate(model, spec, solver_config, plan).input_box == [[-10.0, 10.0]]
 
     def test_pendulum_at_contraction_boundary_fails(self):
         rep = full_certificate(*contraction_boundary_case())
@@ -507,7 +512,6 @@ class TestFullCertificate:
             closed_loop_samples=10,
             multistart_states=1,
             multistart_points=2,
-            u_range=(-10.0, 10.0),
             xi_range=(-10.0, 10.0),
         )
         rep = full_certificate(lin, linear_spec(), SolverConfig(iters_per_sample=20), plan)
@@ -573,7 +577,7 @@ class TestCertificateJson:
     def test_plan_rebuilds_from_its_config_keys(self, report):
         written = json.loads(report.to_json())["plan"]
         assert list(written) == self.written(SamplingPlan)
-        keys = {key: value for key, value in written.items() if key not in ("xi_range", "u_range")}
+        keys = {key: value for key, value in written.items() if key != "xi_range"}
         assert load_config(overrides={"certify": keys}).sampling_plan() == report.plan
 
     @pytest.mark.parametrize("failing", [False, True], ids=["benchmark-plan", "failing-linear"])
@@ -700,7 +704,7 @@ def linear_case():
     plan = SamplingPlan(
         equilibrium_samples=300, fast_samples=200, lipschitz_pairs=100, n_states=4, optimizer_pairs_per_state=5,
         boundary_samples=40, n_value_states=12, map_pairs=8, closed_loop_samples=10, multistart_states=2,
-        multistart_points=3, u_range=(-10.0, 10.0), xi_range=(-10.0, 10.0),
+        multistart_points=3, xi_range=(-10.0, 10.0),
     )
     return LinearTwoTimescale(), linear_spec(), SolverConfig(iters_per_sample=40), plan
 

@@ -2,16 +2,20 @@ import dataclasses
 import filecmp
 import json
 import os
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from redmpc.certify import SamplingPlan
-from redmpc.cli import EXIT_CERT_FAIL, EXIT_CONFIG, EXIT_OK, main
+from redmpc.cli import EXIT_CERT_FAIL, EXIT_CONFIG, EXIT_OK, build_parser, main
 from redmpc.config import DEFAULTS, ConfigError, load_config, manifest_text, parse_config_text
 from redmpc.ocp import SolverConfig
 from redmpc.plant import PendulumParams
+from redmpc.simulate import Strategy
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 FAST_CERT = """
 [certify]
@@ -56,9 +60,8 @@ class TestConfigParsing:
         assert spec.input_box[1][0] == 24.0
 
     def test_readme_example_builds_every_object(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         cfgfile = tmp_path / "readme.cfg"
-        cfgfile.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfgfile.write_text(README.split("```ini\n", 1)[1].split("```", 1)[0])
         cfg = load_config(str(cfgfile))
         builders = ("pendulum_params", "model", "sim_model", "ocp_spec", "solver_config", "sim_config", "sampling_plan")
         for name in builders:
@@ -68,6 +71,27 @@ class TestConfigParsing:
         )
         assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "run")]) == EXIT_OK
 
+    def test_readme_cli_lines_parse(self):
+        block = README.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("redmpc ")]
+        assert len(lines) >= 5
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
+
+    # a choice that is not allowed -> the setting its message names
+    CHOICES = {
+        "sim.strategy": lambda: load_config(None, {"sim": {"strategy": "bogus"}}),
+        "certify.model": lambda: load_config(None, {"certify": {"model": "bogus"}}),
+        "solver.step_rule": lambda: load_config(None, {"solver": {"step_rule": "bogus"}}).solver_config(),
+        "Strategy.plant_kind": lambda: Strategy("bogus", "optimal"),
+    }
+
+    @pytest.mark.parametrize("setting", sorted(CHOICES))
+    def test_choice_names_the_setting(self, setting):
+        key = setting.split(".")[1]
+        with pytest.raises(ValueError, match=rf"{key} must be one of \[.+\], got 'bogus'"):
+            self.CHOICES[setting]()
+
     def test_keys_are_the_dataclass_fields(self):
         def keys(cls, *excluded):
             return [(f.name, f.default) for f in dataclasses.fields(cls) if f.name not in excluded]
@@ -75,7 +99,7 @@ class TestConfigParsing:
         sections = {
             "pendulum": keys(PendulumParams),
             "solver": keys(SolverConfig, "max_backtracks"),
-            "certify": [("model", "pendulum")] + keys(SamplingPlan, "xi_range", "u_range"),
+            "certify": [("model", "pendulum")] + keys(SamplingPlan, "xi_range"),
         }
         for section, expected in sections.items():
             assert [(key, default) for key, (_, default) in DEFAULTS[section].items()] == expected, section
@@ -167,24 +191,34 @@ class TestCliSimulate:
         assert filecmp.cmp(out1 / "trace.csv", out2 / "trace.csv", shallow=False)
         assert filecmp.cmp(out1 / "summary.txt", out2 / "summary.txt", shallow=False)
 
+    def test_strategy_flag_sets_the_strategy(self, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("[ocp]\ndelta = 0.1\n[sim]\nduration_s = 1.0\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfgfile), "--strategy", "opt-full", "--out", str(out)]) == EXIT_OK
+        assert (out / "summary.txt").read_text().startswith("strategy=reduced/optimal ")
+        assert "\nstrategy = opt-full\n" in (out / "manifest.txt").read_text()
+
     def test_unknown_flag_is_config_error(self, tmp_path):
         rc = main(["simulate", "--bogus", "1", "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
 
 class TestCliConfigErrors:
-    """A value that parses but fails a check of the objects built from it exits 1 before any output."""
+    """A value that does not parse, or parses but fails a check of the objects built from it, exits 1
+    before any output."""
 
-    def assert_config_error(self, tmp_path, capsys, text, argv):
+    def assert_config_error(self, tmp_path, capsys, text, argv, message=""):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text(text)
         out = tmp_path / "out"
         assert main(argv + ["--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
-        assert "config error:" in capsys.readouterr().err
-        assert not (out / "manifest.txt").exists()
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
+    # "compare" is sweep at the configured delta
     COMMANDS = {
-        "simulate": ["simulate"], "compare": ["compare"], "sweep": ["sweep", "--deltas", "0.1"], "certify": ["certify"]
+        "simulate": ["simulate"], "compare": ["sweep"], "sweep": ["sweep", "--deltas", "0.1"], "certify": ["certify"]
     }
     SIM_READERS = ("simulate", "compare", "sweep")  # certify does not read [sim]
     # probe -> (config text, the commands that read its section)
@@ -219,6 +253,17 @@ class TestCliConfigErrors:
     @pytest.mark.parametrize("probe,command", CASES, ids=[f"{probe}-{command}" for probe, command in CASES])
     def test_rejected_value(self, tmp_path, capsys, probe, command):
         self.assert_config_error(tmp_path, capsys, self.REJECTED[probe][0], self.COMMANDS[command])
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[solver]\niters_per_sample = two\n", "bad value for solver.iters_per_sample: 'two'"),
+            ("[ocp]\nhorizon_steps = ten\n", "horizon_steps must be 'auto' or an integer, got 'ten'"),
+        ],
+        ids=["iters_per_sample", "horizon_steps"],
+    )
+    def test_unparsed_value(self, tmp_path, capsys, text, message):
+        self.assert_config_error(tmp_path, capsys, text, ["simulate"], message)
 
     def test_step_count_checked_at_each_swept_timescale(self, tmp_path, capsys):
         # 1e4 s is 1e6 steps at the configured 0.01 but 1e7, over the bound, at the swept 0.001
@@ -316,6 +361,15 @@ class TestCliSweep:
             runs[name] = (out / "comparison.csv").read_text()
         assert runs["set"] != runs["default"]
 
+    def test_without_deltas_sweeps_the_configured_delta(self, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("[ocp]\ndelta = 0.2\n[sim]\nduration_s = 1.0\n")
+        runs = {}
+        for name, flags in (("configured", []), ("given", ["--deltas", "0.2"])):
+            assert main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / name), *flags]) == EXIT_OK
+            runs[name] = (tmp_path / name / "comparison.csv").read_bytes()
+        assert runs["configured"] == runs["given"]
+
     def test_manifest_round_trip_byte_identical(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("[sim]\nduration_s = 1.5\ntheta0 = 0.9\n")
@@ -330,7 +384,7 @@ class TestCliCompare:
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("[ocp]\ndelta = 0.2\n[sim]\nduration_s = 1.0\n")
         out = tmp_path / "cmp"
-        rc = main(["compare", "--config", str(cfgfile), "--out", str(out)])
+        rc = main(["sweep", "--config", str(cfgfile), "--out", str(out)])
         assert rc == EXIT_OK
         lines = (out / "comparison.csv").read_text().splitlines()
         assert len(lines) == 4

@@ -293,8 +293,13 @@ class TestReferenceClosedLoop:
     @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
     def test_diverging_run(self, strategy):
         model, spec, solver_config, sim_config = diverging_linear_run()
-        trace = self.assert_same(model, spec, solver_config, dataclasses.replace(sim_config, strategy=STRATEGIES[strategy]))
+        sim_config = dataclasses.replace(sim_config, strategy=STRATEGIES[strategy])
+        trace = self.assert_same(model, spec, solver_config, sim_config)
         assert trace.diverged
+        # the plant step itself overflows, before any solve
+        overflowing = LinearTwoTimescale(a_slow=1e308)
+        trace = self.assert_same(overflowing, spec, solver_config, dataclasses.replace(sim_config, x0=(10.0,)))
+        assert trace.diverged_at == 0
 
     def test_rejected_steps_recorded(self):
         sim_config = SimConfig(delta=0.1, duration_s=3.0, strategy=STRATEGIES["subopt-full"])
