@@ -91,15 +91,15 @@ def _text(value) -> str:
 
 @dataclass(frozen=True)
 class SamplingPlan(_Record):
-    """Sample counts, ranges, and the safety factor applied to sampled constants.
+    """Sample counts, radii, and the safety factor applied to sampled constants.
 
-    The model supplies the state ranges (``PlantModel.state_box``) and the
-    problem the input ranges (``OcpSpec.input_box``); ``xi_range`` covers the
-    extra state with margin.
-    ``state_ball`` bounds the states at which the optimizer's minimizer is
-    evaluated; error samples for the boundary layer live in balls of radius
-    ``error_ball`` with norms bounded away from zero by ``error_min_norm``.
-    Every field but ``xi_range`` is a ``[certify]`` key, in this order.
+    The model supplies the state and extra-state ranges (``PlantModel.state_box``
+    and ``extra_box``) and the problem the input ranges (``OcpSpec.input_box``).
+    ``state_ball`` is the radius of the ball about x* from which every
+    optimizer-side stage, the closed-loop check included, draws its slow
+    states; error samples live in balls of radius ``error_ball`` with norms
+    bounded away from zero by ``error_min_norm``. Every field is a
+    ``[certify]`` key, in this order.
     """
 
     seed: int = 0
@@ -119,8 +119,6 @@ class SamplingPlan(_Record):
     state_ball: float = 1.0
     error_ball: float = 1.0
     error_min_norm: float = 0.05
-    near_eq_ball: float = 0.5
-    xi_range: tuple[float, float] = (-40.0, 40.0)
 
     def __post_init__(self):
         # Every count needs one sample. One start per state only finds its own
@@ -130,7 +128,7 @@ class SamplingPlan(_Record):
         least = dict.fromkeys(counts, 1) | {"seed": 0, "multistart_points": 2, "safety_factor": 1}
         for name, minimum in least.items():
             _check_range(name, getattr(self, name), minimum, closed=True)
-        for name in ("state_ball", "error_ball", "near_eq_ball", "delta_cap"):
+        for name in ("state_ball", "error_ball", "delta_cap"):
             _check_range(name, getattr(self, name))
         _check_range("error_min_norm", self.error_min_norm, 0.0, self.error_ball, closed=True)
 
@@ -138,10 +136,9 @@ class SamplingPlan(_Record):
         """Lower and upper corners of the sampled box over ``parts``, concatenated in order.
 
         Each part is "x" (plant state, over the model's ``state_box``), "xi"
-        (extra state, over ``xi_range``) or "u" (input, over the problem's ``input_box``).
+        (extra state, over its ``extra_box``) or "u" (input, over the problem's ``input_box``).
         """
-        xi, u = [self.xi_range] * model.p, np.transpose(spec.input_box)
-        ranges = {"x": model.state_box(self.state_ball), "xi": xi, "u": u}
+        ranges = {"x": model.state_box(self.state_ball), "xi": model.extra_box(), "u": np.transpose(spec.input_box)}
         lo, hi = np.array([r for part in parts for r in ranges[part]], dtype=float).T
         return lo, hi
 
@@ -537,7 +534,7 @@ def closed_loop_decrease_check(
     prediction horizon stays at the certified spec's value while the
     timescale is substituted, so the optimizer state keeps its dimension.
     The plan sets the sample count (``closed_loop_samples``), the state ball
-    about x* (``near_eq_ball``) and the error balls. The minimizers at the
+    about x* (``state_ball``) and the error balls. The minimizers at the
     sampled states, and then at their successors, come from one batched
     cold-started solve each.
 
@@ -560,7 +557,7 @@ def closed_loop_decrease_check(
             raise CertificationError(f"minimizer solve did not converge at state {x}")
         return sol.z, sol.value
 
-    xs = model.x_star + _ball_samples(rng, n, count, plan.near_eq_ball, plan.near_eq_ball * 0.05)
+    xs = model.x_star + _ball_samples(rng, n, count, plan.state_ball, plan.state_ball * 0.05)
     xi_errs = _ball_samples(rng, p, count, plan.error_ball, plan.error_min_norm)
     z_errs = _ball_samples(rng, nz, count, plan.error_ball, plan.error_min_norm)
     zstar, w_val = minimizers_and_values(xs)
@@ -607,8 +604,8 @@ class Verdict(_Record):
 class CertificateReport(_Record):
     """Everything the certification pipeline measured, with per-condition verdicts.
 
-    ``plan`` is the sampling plan, ``state_box`` the model's state ranges under it and
-    ``input_box`` the problem's input ranges, one ``[lo, hi]`` per component.
+    ``plan`` is the sampling plan, ``state_box`` and ``extra_box`` the model's (extra-)state ranges
+    under it and ``input_box`` the problem's input ranges, one ``[lo, hi]`` per component.
     """
 
     model: str
@@ -616,6 +613,7 @@ class CertificateReport(_Record):
     horizon_N: int
     plan: SamplingPlan
     state_box: list[tuple[float, float]]
+    extra_box: list[tuple[float, float]]
     input_box: list[list[float]]
     constants: dict[str, Estimate] = field(default_factory=dict)
     fast_bounds: QuadraticBounds | None = None
@@ -728,17 +726,18 @@ def _minimizer_solves(model, spec, solver_config, plan, rng):
     """Every sample the later stages take from the main stream, and one batched cold solve at them.
 
     Draws, in stream order, the slow states, the optimizer-bound errors, the
-    map-pair errors, the multistart starts and the value-function states. The
-    slow and value states start from zeros and the multistart lanes from their
-    random starts; each lane equals its lone solve, so every stage sees what
-    its own solve would give. Returns the slow states and their minimizers,
-    the optimizer-bound errors, the map-pair errors (dz_a, dz_b, dxi_a, dxi_b
-    per pair), the multistart solves per probed state, and the value states
-    with their minimizers, projected-gradient norms, optimal values and the
-    rollouts of their minimizers (their share of the solve's ``prediction``).
+    map-pair errors, the multistart starts and the value-function states, the
+    slow and value states in the ``state_ball`` ball about x*. Those start
+    from zeros and the multistart lanes from their random starts; each lane
+    equals its lone solve, so every stage sees what its own solve would give.
+    Returns the slow states and their minimizers, the optimizer-bound errors,
+    the map-pair errors (dz_a, dz_b, dxi_a, dxi_b per pair), the multistart
+    solves per probed state, and the value states with their minimizers,
+    projected-gradient norms, optimal values and the rollouts of their
+    minimizers (their share of the solve's ``prediction``).
     """
     n, p, nz = model.n, model.p, spec.horizon_N * model.m
-    states = _ball_samples(rng, n, plan.n_states, plan.state_ball)
+    states = model.x_star + _ball_samples(rng, n, plan.n_states, plan.state_ball)
     pairs = plan.optimizer_pairs_per_state
     optimizer_errors = np.concatenate(
         [_ball_samples(rng, nz, pairs, plan.error_ball, plan.error_min_norm) for _ in states]
@@ -754,7 +753,7 @@ def _minimizer_solves(model, spec, solver_config, plan, rng):
     box_lo, box_hi = np.tile(spec.input_box[0], spec.horizon_N), np.tile(spec.input_box[1], spec.horizon_N)
     probed, starts = min(plan.multistart_states, len(states)), plan.multistart_points - 1
     z_starts = _uniform_stream(rng, box_lo, box_hi, probed * starts)
-    value_states = _ball_samples(rng, n, plan.n_value_states, plan.state_ball, plan.state_ball * 0.02)
+    value_states = model.x_star + _ball_samples(rng, n, plan.n_value_states, plan.state_ball, plan.state_ball * 0.02)
 
     x0 = np.concatenate([states, np.repeat(states[:probed], starts, axis=0), value_states])
     z0 = np.concatenate([np.zeros((len(states), nz)), z_starts, np.zeros((len(value_states), nz))])
@@ -976,8 +975,8 @@ def full_certificate(
     """
     plan = plan or SamplingPlan()
     rng = np.random.default_rng(plan.seed)
-    state_box, input_box = model.state_box(plan.state_ball), np.transpose(spec.input_box).tolist()
-    report = CertificateReport(model.name, spec.delta, spec.horizon_N, plan, state_box, input_box)
+    boxes = model.state_box(plan.state_ball), model.extra_box(), np.transpose(spec.input_box).tolist()
+    report = CertificateReport(model.name, spec.delta, spec.horizon_N, plan, *boxes)
 
     def run(stage, *args):
         result, verdicts = stage(*args)

@@ -102,7 +102,7 @@ def cmd_sweep(args) -> int:
     solver_config, sim_config = config.solver_config(), config.sim_config()
     for spec in specs:  # the step count at each timescale, checked before any output
         config.sim_config(spec.delta)
-    out = _prepare_out(args, config, "sweep")
+    out = _prepare_out(args, config, "sweep" if args.deltas is None else f"sweep --deltas {args.deltas}")
     rows = compare_strategies(model, specs, solver_config, sim_config, config.skip_fraction)
     write_comparison_csv(rows, os.path.join(out, "comparison.csv"))
     write_gnuplot_script(os.path.join(out, "plot.gp"), comparison_csv="comparison.csv")

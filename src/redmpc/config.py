@@ -34,8 +34,6 @@ def _checked(build):
     def checked(*args, **kwargs):
         try:
             return build(*args, **kwargs)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -52,7 +50,7 @@ DEFAULTS: dict[str, dict[str, tuple]] = {
     "pendulum": _fields(PendulumParams),
     "ocp": {
         "delta": (float, 0.01),
-        "horizon_steps": (str, "auto"),
+        "horizon_steps": (lambda text: text if text == "auto" else int(text), "auto"),
         "horizon_window_s": (float, 0.5),
         "q_theta": (float, 100.0),
         "q_omega": (float, 0.1),
@@ -61,7 +59,8 @@ DEFAULTS: dict[str, dict[str, tuple]] = {
         "qf_omega": (float, 0.1),
         "u_max": (float, 24.0),
     },
-    "solver": _fields(SolverConfig, "max_backtracks"),
+    "solver": _fields(SolverConfig, "max_backtracks")
+    | {"step_rule": (functools.partial(_check_choice, "step_rule", allowed=SolverConfig.STEP_RULES), "backtracking")},
     "sim": {
         "duration_s": (float, 10.0),
         "theta0": (float, 1.0),
@@ -72,7 +71,7 @@ DEFAULTS: dict[str, dict[str, tuple]] = {
     },
     "certify": {
         "model": (functools.partial(_check_choice, "model", allowed=("pendulum", "linear")), "pendulum"),
-        **_fields(SamplingPlan, "xi_range"),
+        **_fields(SamplingPlan),
     },
 }
 
@@ -136,13 +135,9 @@ class Config:
         o = self.values["ocp"]
         model = self.sim_model() if model is None else model
         delta = validate_delta(model, float(o["delta"]) if delta is None else delta)
-        if o["horizon_steps"] == "auto":
+        N = o["horizon_steps"]
+        if N == "auto":
             N = horizon_for_delta(delta, float(o["horizon_window_s"]))
-        else:
-            try:
-                N = int(o["horizon_steps"])
-            except ValueError as exc:
-                raise ConfigError(f"horizon_steps must be 'auto' or an integer, got {o['horizon_steps']!r}") from exc
         n, m = model.n, model.m
         if n == 2:
             Q = np.diag([float(o["q_theta"]), float(o["q_omega"])])
@@ -212,8 +207,6 @@ def load_config(path: str | None = None, overrides: dict[str, dict[str, str]] | 
                 text = raw[section][key]
                 try:
                     values[section][key] = parser(text)
-                except ConfigError:
-                    raise
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {section}.{key}: {text!r} ({exc})") from exc
             else:

@@ -109,8 +109,10 @@ class OcpSpec:
 class SolverConfig:
     """Settings for the per-sample update and the solve-to-tolerance benchmark."""
 
+    STEP_RULES = ("backtracking", "fixed")
+
     iters_per_sample: int = 1
-    step_rule: str = "backtracking"      # "backtracking" or "fixed"
+    step_rule: str = "backtracking"
     alpha0: float = 1.0                  # gradient step of the fixed rule, first trial of its line search
     shrink: float = 0.5
     armijo_c: float = 1e-4
@@ -119,7 +121,7 @@ class SolverConfig:
     max_optimal_iters: int = 100_000
 
     def __post_init__(self):
-        _check_choice("step_rule", self.step_rule, ("backtracking", "fixed"))
+        _check_choice("step_rule", self.step_rule, self.STEP_RULES)
         for name in ("iters_per_sample", "max_backtracks", "max_optimal_iters"):
             _check_range(name, getattr(self, name), 1, closed=True)
         for name in ("alpha0", "optimal_tol"):

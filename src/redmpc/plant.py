@@ -107,9 +107,9 @@ class PlantModel:
     Concrete models provide the maps ``target_map`` (f), ``extra_map`` (g),
     ``equilibrium_map`` (xi_eq) and their Jacobians, plus dimensions
     ``n, p, m``, the equilibrium state ``x_star``, analytic Lipschitz
-    constants where closed forms exist, and the ``state_box`` that
-    certification samples from. All maps are pure functions; a model instance
-    may be shared read-only across threads.
+    constants where closed forms exist, and the ``state_box`` and
+    ``extra_box`` that certification samples from. All maps are pure
+    functions; a model instance may be shared read-only across threads.
 
     Every map and Jacobian takes a leading batch shape ``(...)``: ``x`` is an
     ``(..., n)`` array, ``xi`` ``(..., p)`` and ``u`` ``(..., m)``, all with the
@@ -158,6 +158,10 @@ class PlantModel:
     def state_box(self, state_ball: float) -> list[tuple[float, float]]:
         """Per-component (lo, hi) range that certification samples states from: +-4 ``state_ball``."""
         return [(-4.0 * state_ball, 4.0 * state_ball)] * self.n
+
+    def extra_box(self) -> list[tuple[float, float]]:
+        """Per-component (lo, hi) range that certification samples extra states from: +-40."""
+        return [(-40.0, 40.0)] * self.p
 
     def reduced_map(self, x: np.ndarray, u: np.ndarray, delta) -> np.ndarray:
         """Slow dynamics on the fast equilibrium manifold (by composition)."""

@@ -11,7 +11,7 @@ import redmpc.certify as certify_module
 import numpy as np
 import pytest
 
-from redmpc.config import load_config
+from redmpc.config import DEFAULTS, load_config
 from redmpc.plant import ActuatedPendulum, LinearTwoTimescale, PendulumParams
 from redmpc.ocp import (
     OcpSpec,
@@ -161,7 +161,6 @@ class TestSamplingPlan:
             {"safety_factor": 0.5},
             {"state_ball": 0.0},
             {"error_ball": -1.0},
-            {"near_eq_ball": 0.0},
             {"error_min_norm": -0.1},
             {"error_min_norm": 1.0},
             {"delta_cap": 0.0},
@@ -468,7 +467,6 @@ class TestFullCertificate:
             closed_loop_samples=40,
             multistart_states=1,
             multistart_points=3,
-            xi_range=(-10.0, 10.0),
         )
         rep = full_certificate(lin, linear_spec(), SolverConfig(iters_per_sample=40), plan)
         assert rep.overall_pass
@@ -487,6 +485,28 @@ class TestFullCertificate:
         lo, hi = plan.box(model, spec, "u")
         assert (lo.tolist(), hi.tolist()) == ([-10.0], [10.0])
         assert full_certificate(model, spec, solver_config, plan).input_box == [[-10.0, 10.0]]
+
+    def test_plan_samples_the_models_extra_box(self):
+        class Wider(LinearTwoTimescale):
+            def extra_box(self):
+                return [(-50.0, 60.0)]
+
+        model, spec, solver_config, plan = linear_case()
+        lo, hi = plan.box(Wider(), spec, "xi")
+        assert (lo.tolist(), hi.tolist()) == ([-50.0], [60.0])
+        rep = full_certificate(model, spec, solver_config, plan)
+        assert rep.extra_box == [(-40.0, 40.0)] and json.loads(rep.to_json())["extra_box"] == [[-40.0, 40.0]]
+
+    def test_optimizer_stages_sample_the_state_ball_about_x_star(self):
+        class Shifted(LinearTwoTimescale):
+            x_star = np.array([2.0])
+
+        model, spec, solver_config, plan = linear_case()
+        (states, *_, at_values), _ = certify_module._minimizer_solves(
+            Shifted(), spec, solver_config, plan, np.random.default_rng(0)
+        )
+        for drawn in (states, at_values[0]):  # the slow states and the value states
+            assert np.all(np.linalg.norm(drawn - 2.0, axis=1) <= plan.state_ball)
 
     def test_pendulum_at_contraction_boundary_fails(self):
         rep = full_certificate(*contraction_boundary_case())
@@ -512,7 +532,6 @@ class TestFullCertificate:
             closed_loop_samples=10,
             multistart_states=1,
             multistart_points=2,
-            xi_range=(-10.0, 10.0),
         )
         rep = full_certificate(lin, linear_spec(), SolverConfig(iters_per_sample=20), plan)
         text = rep.to_text()
@@ -577,8 +596,20 @@ class TestCertificateJson:
     def test_plan_rebuilds_from_its_config_keys(self, report):
         written = json.loads(report.to_json())["plan"]
         assert list(written) == self.written(SamplingPlan)
-        keys = {key: value for key, value in written.items() if key != "xi_range"}
-        assert load_config(overrides={"certify": keys}).sampling_plan() == report.plan
+        assert load_config(overrides={"certify": written}).sampling_plan() == report.plan
+
+    @pytest.mark.parametrize("key", [key for key in DEFAULTS["certify"] if key != "model"])
+    def test_every_plan_key_changes_the_certificate(self, report, key):
+        # seed + 1, other counts x2 (boundary_samples and map_pairs still round down to
+        # multiples of n_states, see TestSampleCounts), floats x1.5
+        value = getattr(BENCH_PLAN, key)
+        changed = value + 1 if key == "seed" else value * 2 if isinstance(value, int) else value * 1.5
+        plan = load_config(overrides={"certify": BENCH_PLAN.as_dict() | {key: changed}}).sampling_plan()
+        assert getattr(plan, key) == changed
+        changed_report = full_certificate(PEND, load_config().ocp_spec(0.01), CFG, plan)
+        blobs = [json.loads(rep.to_json()) for rep in (report, changed_report)]
+        assert blobs[0].pop("plan") != blobs[1].pop("plan")
+        assert json.dumps(blobs[0]) != json.dumps(blobs[1])
 
     @pytest.mark.parametrize("failing", [False, True], ids=["benchmark-plan", "failing-linear"])
     def test_text_prints_every_json_field(self, report, failing):
@@ -694,7 +725,7 @@ class TestClosedLoopDecrease:
     def test_linear_decrease_below_bound(self):
         lin = LinearTwoTimescale()
         spec = linear_spec()
-        plan = SamplingPlan(closed_loop_samples=30, near_eq_ball=0.3)
+        plan = SamplingPlan(closed_loop_samples=30, state_ball=0.3)
         res = closed_loop_decrease_check(lin, spec, SolverConfig(iters_per_sample=40), kappa=4.0, delta=0.002, plan=plan)
         assert res.passed
         assert res.worst_margin > 0.0
@@ -704,7 +735,7 @@ def linear_case():
     plan = SamplingPlan(
         equilibrium_samples=300, fast_samples=200, lipschitz_pairs=100, n_states=4, optimizer_pairs_per_state=5,
         boundary_samples=40, n_value_states=12, map_pairs=8, closed_loop_samples=10, multistart_states=2,
-        multistart_points=3, xi_range=(-10.0, 10.0),
+        multistart_points=3,
     )
     return LinearTwoTimescale(), linear_spec(), SolverConfig(iters_per_sample=40), plan
 

@@ -82,14 +82,17 @@ class TestConfigParsing:
     CHOICES = {
         "sim.strategy": lambda: load_config(None, {"sim": {"strategy": "bogus"}}),
         "certify.model": lambda: load_config(None, {"certify": {"model": "bogus"}}),
-        "solver.step_rule": lambda: load_config(None, {"solver": {"step_rule": "bogus"}}).solver_config(),
+        "solver.step_rule": lambda: load_config(None, {"solver": {"step_rule": "bogus"}}),
         "Strategy.plant_kind": lambda: Strategy("bogus", "optimal"),
     }
 
     @pytest.mark.parametrize("setting", sorted(CHOICES))
     def test_choice_names_the_setting(self, setting):
-        key = setting.split(".")[1]
-        with pytest.raises(ValueError, match=rf"{key} must be one of \[.+\], got 'bogus'"):
+        section, key = setting.split(".")
+        message = rf"{key} must be one of \[.+\], got 'bogus'"
+        if section in DEFAULTS:  # a config key is checked at load, and its error names its section
+            message = rf"^bad value for {section}\.{key}: 'bogus' \({message}\)$"
+        with pytest.raises(ValueError, match=message):
             self.CHOICES[setting]()
 
     def test_keys_are_the_dataclass_fields(self):
@@ -99,7 +102,7 @@ class TestConfigParsing:
         sections = {
             "pendulum": keys(PendulumParams),
             "solver": keys(SolverConfig, "max_backtracks"),
-            "certify": [("model", "pendulum")] + keys(SamplingPlan, "xi_range"),
+            "certify": [("model", "pendulum")] + keys(SamplingPlan),
         }
         for section, expected in sections.items():
             assert [(key, default) for key, (_, default) in DEFAULTS[section].items()] == expected, section
@@ -258,7 +261,7 @@ class TestCliConfigErrors:
         "text,message",
         [
             ("[solver]\niters_per_sample = two\n", "bad value for solver.iters_per_sample: 'two'"),
-            ("[ocp]\nhorizon_steps = ten\n", "horizon_steps must be 'auto' or an integer, got 'ten'"),
+            ("[ocp]\nhorizon_steps = ten\n", "bad value for ocp.horizon_steps: 'ten'"),
         ],
         ids=["iters_per_sample", "horizon_steps"],
     )
@@ -370,6 +373,15 @@ class TestCliSweep:
             runs[name] = (tmp_path / name / "comparison.csv").read_bytes()
         assert runs["configured"] == runs["given"]
 
+    def test_manifest_names_the_swept_timescales(self, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("[ocp]\ndelta = 0.2\n[sim]\nduration_s = 1.0\n")
+        commands = {}
+        for name, flags in (("given", ["--deltas", "0.1,0.2"]), ("configured", [])):
+            assert main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / name), *flags]) == EXIT_OK
+            commands[name] = (tmp_path / name / "manifest.txt").read_text().splitlines()[1]
+        assert commands == {"given": "# command: sweep --deltas 0.1,0.2", "configured": "# command: sweep"}
+
     def test_manifest_round_trip_byte_identical(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("[sim]\nduration_s = 1.5\ntheta0 = 0.9\n")
@@ -418,11 +430,11 @@ class TestCliCertify:
         assert "fast-error-decrease" in failed
 
     def test_unconverged_closed_loop_solve_fails_with_exit_2(self, tmp_path):
-        # one solver iteration misses the tolerance at closed-loop states far from x*
+        # three solver iterations miss the tolerance at some states of a ball of radius 500 about x*
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text(
-            FAST_CERT.replace("[solver]\n", "[solver]\nmax_optimal_iters = 1\n").replace(
-                "[certify]\n", "[certify]\nnear_eq_ball = 500\n"
+            FAST_CERT.replace("[solver]\n", "[solver]\nmax_optimal_iters = 3\n").replace(
+                "[certify]\n", "[certify]\nstate_ball = 500\n"
             )
         )
         out = tmp_path / "cert"
@@ -432,6 +444,7 @@ class TestCliCertify:
         blob = json.loads((out / "certificate.json").read_text())
         failed = {v["name"]: v["detail"] for v in blob["verdicts"] if not v["passed"]}
         assert "did not converge" in failed["closed-loop-decrease"] and blob["closed_loop"] is None
+        assert "reduced-value-solves" in failed
 
     def test_manifest_written_before_outputs(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
