@@ -11,7 +11,9 @@ for optimization problems with simple constraints", SIAM J. Control Optim.
 Every function here solves one problem, or a batch of B problems when ``x0``
 and ``z`` carry a leading axis of B lanes. Each lane is computed by the same
 operations as its lone call, so lane ``k`` of a batch equals that call bit for
-bit.
+bit. A rollout of one lane steps the model's float kernel
+(``PlantModel.reduced_step``) when it has one; the kernel equals
+``reduced_map`` bit for bit, so lane ``k`` still equals its lone call.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .plant import PlantModel, _check_choice, _check_range
+from .plant import PlantModel, _check_choice, _check_range, _reduced_kernel
 
 __all__ = [
     "OcpSpec",
@@ -202,8 +204,27 @@ def _quadratic(v: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 def _rollout(spec: OcpSpec, model: PlantModel, x0: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Predicted states ``(B, N+1, n)`` of B problems; a lane that overflows holds non-finite values."""
+    """Predicted states ``(B, N+1, n)`` of B problems; a lane that overflows holds non-finite values.
+
+    One lane steps the model's float kernel when it has one. A lane that the
+    kernel cannot finish, or that ends non-finite, is stepped again by
+    ``reduced_map``, which gives it the non-finite values a batch would.
+    """
     N, m = spec.horizon_N, spec.m
+    step = _reduced_kernel(model) if len(x0) == 1 else None
+    if step is not None:
+        x, u, delta = x0[0].tolist(), z.reshape(N, m).tolist(), spec.delta
+        rows = [x]
+        try:
+            for tau in range(N):
+                x = step(x, u[tau], delta)
+                rows.append(x)
+        except (ValueError, OverflowError):  # math.sin(inf) raises
+            pass
+        else:
+            states = np.array([rows])
+            if np.isfinite(states).all():
+                return states
     states = np.empty((len(x0), N + 1, model.n))
     states[:, 0] = x = x0
     u = z.reshape(len(z), N, m)

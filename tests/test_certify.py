@@ -508,6 +508,15 @@ class TestFullCertificate:
         for drawn in (states, at_values[0]):  # the slow states and the value states
             assert np.all(np.linalg.norm(drawn - 2.0, axis=1) <= plan.state_ball)
 
+    def test_sampled_states_lie_in_the_reported_state_box(self):
+        # a ball wider than the pendulum's +-pi angle range widens the box
+        spec, plan = load_config().ocp_spec(0.1), SamplingPlan(state_ball=5.0)
+        (states, *_, at_values), _ = certify_module._minimizer_solves(PEND, spec, CFG, plan, np.random.default_rng(0))
+        box = np.array(full_certificate(PEND, spec, CFG, dataclasses.replace(BENCH_PLAN, state_ball=5.0)).state_box)
+        assert box.tolist() == [[-5.0, 5.0], [-10.0, 10.0]]
+        for drawn in (states, at_values[0]):  # the slow states and the value states
+            assert np.all((box[:, 0] <= drawn) & (drawn <= box[:, 1]))
+
     def test_pendulum_at_contraction_boundary_fails(self):
         rep = full_certificate(*contraction_boundary_case())
         assert not rep.overall_pass

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -911,3 +912,95 @@ class TestBatchAxis:
         assert state.iterations_used == max(s.iterations_used for s in lone) == config.max_optimal_iters
         assert state.rejected_steps == sum(s.rejected_steps for s in lone)
         assert state.converged is False
+
+
+def without_kernel(model):
+    """A copy of ``model`` whose rollouts take ``reduced_map`` only."""
+    plain = copy.copy(model)
+    plain.reduced_step = None
+    return plain
+
+
+class KernelCountingPendulum(CountingPendulum):
+    """Counts its float-kernel steps as well; it defines the kernel, so its rollouts use it."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = 0
+
+    def reduced_step(self, x, u, delta):
+        self.steps += 1
+        return super().reduced_step(x, u, delta)
+
+
+class DoubleFrictionPendulum(ActuatedPendulum):
+    """Overrides the slow map but not the kernel, which stands for the parent's map."""
+
+    def target_map(self, x, xi, u, delta):
+        out = super().target_map(x, xi, u, delta)
+        out[..., 1] -= delta * (self.params.beta / self.params.J) * x[..., 1]
+        return out
+
+
+class TestFloatKernel:
+    """A lone rollout steps the model's float kernel, and gives what reduced_map gives, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_lone_calls_equal_the_numpy_path(self, case):
+        spec, model, n, u_max = REFERENCE_CASES[case]
+        numpy_model = without_kernel(model)
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            x0, z = rng.uniform(-1, 1, n), rng.uniform(-1.5 * u_max, 1.5 * u_max, spec.horizon_N)
+            assert np.array_equal(rollout(spec, model, x0, z), rollout(spec, numpy_model, x0, z))
+            assert np.array_equal(rollout(spec, model, x0, z), loop_rollout(spec, model, x0, z))
+            for solver in (solver_map, solve_optimal):
+                kernel, plain = solver(spec, model, CFG, x0, z), solver(spec, numpy_model, CFG, x0, z)
+                for field in dataclasses.fields(plain):
+                    assert np.array_equal(getattr(kernel, field.name), getattr(plain, field.name)), field.name
+
+    OVERFLOWS = {
+        # x is 5e307 after one step and infinite after two
+        "linear": (
+            LinearTwoTimescale(a_slow=1e308),
+            dataclasses.replace(linear_case_spec(), delta=0.5),
+            [1.0],
+            np.zeros(5),
+        ),
+        # an input of 1.5e308 gives an infinite current, then math.sin(inf) raises where np.sin gives nan
+        "pendulum": (PEND, load_config().ocp_spec(0.1), [0.1, 0.0], np.full(5, 1.5e308)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWS))
+    def test_overflow_keeps_the_numpy_path(self, case):
+        model, spec, x0, z = self.OVERFLOWS[case]
+        numpy_model = without_kernel(model)
+        lanes = np.array([x0]), np.array([z])
+        states = ocp_module._rollout(spec, model, *lanes)
+        assert not np.isfinite(states).all()
+        assert np.array_equal(states, ocp_module._rollout(spec, numpy_model, *lanes), equal_nan=True)
+        messages = []
+        for m in (model, numpy_model):
+            with pytest.raises(FloatingPointError, match="rollout overflow") as err:
+                rollout(spec, m, x0, z)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_lone_solver_map_steps_the_kernel(self):
+        # the N = 50 steps of TestEvaluationCounts.test_solver_map's two rollouts, none through reduced_map
+        model = KernelCountingPendulum()
+        out = solver_map(TestEvaluationCounts.SPEC, model, CFG, TestEvaluationCounts.X0, np.zeros(50))
+        assert out.rejected_steps == 0
+        assert (model.steps, model.maps, model.jacobians) == (100, 0, 2)
+
+    def test_batch_leaves_the_kernel(self):
+        model = KernelCountingPendulum()
+        rollout(TestEvaluationCounts.SPEC, model, [TestEvaluationCounts.X0] * 2, np.zeros((2, 50)))
+        assert (model.steps, model.maps) == (0, 50)
+
+    def test_subclass_that_changes_a_map_leaves_the_inherited_kernel(self):
+        spec, model = load_config().ocp_spec(0.01), DoubleFrictionPendulum()
+        x0, z = [0.3, -0.2], np.random.default_rng(21).uniform(-24, 24, 50)
+        states = rollout(spec, model, x0, z)
+        assert np.array_equal(states, loop_rollout(spec, model, x0, z))
+        assert not np.array_equal(states, rollout(spec, PEND, x0, z))

@@ -88,6 +88,16 @@ class TestReducedStep:
             composed = PEND.target_map(x, PEND.equilibrium_map(x, u), u, delta)
             assert np.array_equal(direct, composed)
 
+    @pytest.mark.parametrize("model", [PEND, LinearTwoTimescale()], ids=["pendulum", "linear"])
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.2])
+    def test_float_kernel_is_reduced_map_bit_for_bit(self, model, delta):
+        # 1e5 draws, angles up to +-50 rad; a batched row equals its lone reduced_map call
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-50.0, 50.0, (100_000, model.n))
+        u = rng.uniform(-30.0, 30.0, (100_000, model.m))
+        kernel = [model.reduced_step(xk, uk, delta) for xk, uk in zip(x.tolist(), u.tolist())]
+        assert np.array_equal(np.array(kernel), model.reduced_map(x, u, delta))
+
 
 class TestInvariants:
     def test_equilibrium_identity_sampled(self):
