@@ -28,7 +28,6 @@ from .ocp import (
     cost,  # unused here, but the benchmark tracer wraps redmpc.certify.cost by name
     first_input,
     iterate_map,
-    shift_prediction,
     solve_optimal,
     warm_start_shift,
 )
@@ -733,8 +732,7 @@ def _minimizer_solves(model, spec, solver_config, plan, rng):
     Returns the slow states and their minimizers, the optimizer-bound errors,
     the map-pair errors (dz_a, dz_b, dxi_a, dxi_b per pair), the multistart
     solves per probed state, and the value states with their minimizers,
-    projected-gradient norms, optimal values and the rollouts of their
-    minimizers (their share of the solve's ``prediction``).
+    projected-gradient norms and optimal values.
     """
     n, p, nz = model.n, model.p, spec.horizon_N * model.m
     states = model.x_star + _ball_samples(rng, n, plan.n_states, plan.state_ball)
@@ -761,12 +759,12 @@ def _minimizer_solves(model, spec, solver_config, plan, rng):
     cuts = [len(states), len(states) + len(z_starts)]
     zstars, finals, value_zstars = np.split(sol.z, cuts)
     pg, _, value_pg = np.split(sol.projected_gradient_norm, cuts)
-    value_values, value_prediction = np.split(sol.value, cuts)[2], np.split(sol.prediction, cuts)[2]
+    value_values = np.split(sol.value, cuts)[2]
     verdicts = []
     if not np.all(pg <= solver_config.optimal_tol):
         verdicts.append(Verdict("minimizer-solves", False, "solve-to-tolerance failed at a sampled state"))
     finals = finals.reshape(probed, starts, nz)
-    at_values = (value_states, value_zstars, value_pg, value_values, value_prediction)
+    at_values = (value_states, value_zstars, value_pg, value_values)
     return (states, zstars, optimizer_errors, map_errors, finals, at_values), verdicts
 
 
@@ -876,21 +874,19 @@ def _boundary_layer(model, spec, plan, constants, fast_bounds, optimizer_bounds,
     return (rule, boundary), [Verdict("boundary-layer-decrease", boundary.passed, detail)]
 
 
-def _reduced_value(model, spec, solver_config, states, zstars, pg, values, prediction):
+def _reduced_value(model, spec, solver_config, states, zstars, pg, values):
     """c-constants of the reduced value function, the minimizer-map constant and the slow-drift ratio.
 
     ``zstars`` are the cold-started minimizers at ``states``, ``pg`` their
-    projected-gradient norms, ``values`` the optimal values there and
-    ``prediction`` their rollouts. The successor of each state is the second
-    state of its rollout, and the minimizer there is solved from where the
-    receding horizon puts it: ``warm_start_shift`` of the minimizer, with its
-    ``shift_prediction`` as the solve's first rollout.
+    projected-gradient norms and ``values`` the optimal values there. The
+    successor of each state is one reduced step under its minimizer's first
+    input, and the minimizer there is solved from where the receding horizon
+    puts it: ``warm_start_shift`` of the minimizer.
     """
     delta, x_star, m = spec.delta, model.x_star, model.m
     count = len(states)
-    shifted = shift_prediction(spec, model, prediction, zstars)
-    x_next = shifted[:, 0]
-    sol_next = solve_optimal(spec, model, solver_config, x_next, warm_start_shift(zstars, m), shifted)
+    x_next = model.reduced_map(states, first_input(zstars, m), delta)
+    sol_next = solve_optimal(spec, model, solver_config, x_next, warm_start_shift(zstars, m))
     values_next = sol_next.value
     solves_ok = np.all(pg <= solver_config.optimal_tol) and sol_next.converged
     errs = _norms(states - x_star)

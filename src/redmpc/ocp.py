@@ -41,7 +41,6 @@ __all__ = [
     "solve_optimal",
     "first_input",
     "warm_start_shift",
-    "shift_prediction",
 ]
 
 def _check_symmetric(mat: np.ndarray, name: str, definite: bool, tol: float = 1e-12) -> np.ndarray:
@@ -134,11 +133,10 @@ class SolverConfig:
 
 @dataclass
 class OptimizerState:
-    """Stacked input sequence plus solver diagnostics and what the solver computed at it.
+    """Stacked input sequence plus solver diagnostics and the objective the solver computed at it.
 
-    ``prediction`` is the rollout of ``z``, ``(N+1, n)``, and ``value`` the
-    objective at ``z``; each equals ``rollout`` and ``cost`` at the solver's
-    ``x0`` and ``z`` bit for bit. For a batch, ``z``, ``prediction``,
+    ``value`` is the objective at ``z``, equal to ``cost`` at the solver's
+    ``x0`` and ``z`` bit for bit. For a batch, ``z``,
     ``projected_gradient_norm`` and ``value`` hold one entry per lane, while
     ``iterations_used``, ``converged`` and ``rejected_steps`` describe the
     whole batch (see ``solve_optimal``).
@@ -149,7 +147,6 @@ class OptimizerState:
     projected_gradient_norm: float | np.ndarray = math.nan
     converged: bool = True
     rejected_steps: int = 0
-    prediction: np.ndarray | None = None
     value: float | np.ndarray = math.nan
 
 
@@ -207,7 +204,7 @@ def _rollout(spec: OcpSpec, model: PlantModel, x0: np.ndarray, z: np.ndarray) ->
     """Predicted states ``(B, N+1, n)`` of B problems; a lane that overflows holds non-finite values.
 
     One lane steps the model's float kernel when it has one. A lane that the
-    kernel cannot finish, or that ends non-finite, is stepped again by
+    kernel cannot finish (``math.sin(inf)`` raises) is stepped again by
     ``reduced_map``, which gives it the non-finite values a batch would.
     """
     N, m = spec.horizon_N, spec.m
@@ -222,9 +219,7 @@ def _rollout(spec: OcpSpec, model: PlantModel, x0: np.ndarray, z: np.ndarray) ->
         except (ValueError, OverflowError):  # math.sin(inf) raises
             pass
         else:
-            states = np.array([rows])
-            if np.isfinite(states).all():
-                return states
+            return np.array([rows])
     states = np.empty((len(x0), N + 1, model.n))
     states[:, 0] = x = x0
     u = z.reshape(len(z), N, m)
@@ -240,32 +235,6 @@ def _checked(states: np.ndarray) -> np.ndarray:
         lane, step = np.argwhere(~np.isfinite(states).all(axis=2))[0]
         raise FloatingPointError(f"rollout overflow: non-finite state at step {step} in lane {lane}")
     return states
-
-
-def _start(
-    spec: OcpSpec, model: PlantModel, x0: np.ndarray, z: np.ndarray, batched: bool, prediction
-) -> tuple[np.ndarray, np.ndarray]:
-    """A solver's start point: ``z`` projected into the box, and its checked rollout.
-
-    ``prediction``, when given, is the caller's rollout of ``(x0, z)``
-    (``(N+1, n)``, or ``(B, N+1, n)`` for a batch) and stands in for a new
-    one. Its first state must equal ``x0`` exactly; a lane that the
-    projection moves is rolled out again.
-    """
-    projected = _project(spec, z)
-    if prediction is None:
-        return projected, _checked(_rollout(spec, model, x0, projected))
-    states = np.array(prediction, dtype=float)  # a copy: the solvers overwrite rows of it
-    expected = ((len(z),) if batched else ()) + (spec.horizon_N + 1, model.n)
-    if states.shape != expected:
-        raise ValueError(f"prediction must have shape {expected}, got {states.shape}")
-    states = states.reshape((len(z),) + expected[-2:])
-    if not np.array_equal(states[:, 0], x0):
-        raise ValueError("prediction must start at x0")
-    moved = np.flatnonzero((projected != z).any(axis=1))
-    if moved.size:
-        states[moved] = _rollout(spec, model, x0[moved], projected[moved])
-    return projected, _checked(states)
 
 
 def rollout(spec: OcpSpec, model: PlantModel, x0, z) -> np.ndarray:
@@ -458,14 +427,14 @@ def iterate_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z) -
     summed over the lanes.
     """
     x0, z, batched = _lanes(spec, model, x0, z)
-    z, rejected, states, _ = _iterate(spec, model, config, x0, z, batched, None)
+    z, rejected, states, _ = _iterate(spec, model, config, x0, z)
     if batched:
         return z, rejected, states
     return z[0], rejected, states[0]
 
 
 def _iterate(
-    spec: OcpSpec, model: PlantModel, config: SolverConfig, x0: np.ndarray, z: np.ndarray, batched: bool, prediction
+    spec: OcpSpec, model: PlantModel, config: SolverConfig, x0: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """``iterate_map`` on checked lanes: the result, the rejected steps, and its rollout and objective per lane.
 
@@ -473,7 +442,8 @@ def _iterate(
     or the lane's start value when it rejected every trial; after a
     fixed-rule step it is evaluated on the result's rollout.
     """
-    z, states = _start(spec, model, x0, z, batched, prediction)
+    z = _project(spec, z)
+    states = _checked(_rollout(spec, model, x0, z))
     rejected, values = 0, None
     for _ in range(config.iters_per_sample):
         g = _adjoint(spec, model, states, z)
@@ -489,26 +459,20 @@ def _iterate(
     return z, rejected, states, _value(spec, states, z) if values is None else values
 
 
-def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z, prediction=None) -> OptimizerState:
+def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z) -> OptimizerState:
     """Fixed-budget suboptimal update: the optimizer's one-sample iteration map.
 
     Applies exactly ``config.iters_per_sample`` projected gradient iterations
-    and records, at the result, the final projected-gradient norm, the
-    rollout (``prediction``) and the objective (``value``) that
-    ``iterate_map`` returns. ``prediction``, when given, is the caller's rollout
-    of ``(x0, z)``, for example a previous result's ``shift_prediction``; it
-    stands in for the first rollout, so a backtracking step whose first
-    trial passes costs one rollout instead of two. Its first state must
-    equal ``x0`` (``ValueError``), and a non-finite one raises
-    ``FloatingPointError`` as an overflowing rollout does.
+    and records, at the result, the final projected-gradient norm and the
+    objective (``value``) that ``iterate_map`` computes.
     """
     x0, z, batched = _lanes(spec, model, x0, z)
-    z, rejected, states, values = _iterate(spec, model, config, x0, z, batched, prediction)
+    z, rejected, states, values = _iterate(spec, model, config, x0, z)
     pg = _pg_norm(spec, z, _adjoint(spec, model, states, z))
-    return _optimizer_state(batched, z, config.iters_per_sample, pg, True, rejected, states, values)
+    return _optimizer_state(batched, z, config.iters_per_sample, pg, True, rejected, values)
 
 
-def _optimizer_state(batched: bool, z, iterations, pg, converged, rejected, states, values) -> OptimizerState:
+def _optimizer_state(batched: bool, z, iterations, pg, converged, rejected, values) -> OptimizerState:
     """The result of a solver call, without the batch axis when the call had none."""
     return OptimizerState(
         z=z if batched else z[0],
@@ -516,14 +480,11 @@ def _optimizer_state(batched: bool, z, iterations, pg, converged, rejected, stat
         projected_gradient_norm=pg if batched else float(pg[0]),
         converged=bool(converged),
         rejected_steps=int(rejected),
-        prediction=states if batched else states[0],
         value=values if batched else float(values[0]),
     )
 
 
-def solve_optimal(
-    spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_init, prediction=None
-) -> OptimizerState:
+def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_init) -> OptimizerState:
     """Solve-to-tolerance benchmark for the problem's minimizer.
 
     Iterates Bertsekas's projected Newton method ("Projected Newton methods
@@ -538,36 +499,35 @@ def solve_optimal(
     the gradient map), accepts the step; a lane with no acceptable step is at
     its numerical floor and stops. A result that misses the tolerance is
     returned with ``converged=False``, never silently. The result also
-    carries the rollout (``prediction``) and the objective (``value``) at the
-    returned ``z``, which the solve already holds. ``prediction``, when
-    given, is the caller's rollout of ``(x0, z_init)`` and stands in for the
-    first rollout, under the rules of ``solver_map``; each iteration then
-    costs one rollout per trial.
+    carries the objective (``value``) at the returned ``z``, which the solve
+    already holds. The start costs one rollout, and each iteration one per
+    trial.
 
     A batch solves every lane with its own active set, line search and
     stopping rule; a lane that stops leaves the batch while the others
-    iterate. Its result holds one row of ``z`` and ``prediction`` and one
-    projected-gradient norm and value per lane; ``iterations_used`` is the
-    iterations the batch ran (its longest lane), ``rejected_steps`` is summed
-    over lanes and ``converged`` holds only if every lane converged.
+    iterate. Its result holds one row of ``z`` and one projected-gradient
+    norm and value per lane; ``iterations_used`` is the iterations the batch
+    ran (its longest lane), ``rejected_steps`` is summed over lanes and
+    ``converged`` holds only if every lane converged.
     """
     x0, z, batched = _lanes(spec, model, x0, z_init)
-    z, states = _start(spec, model, x0, z, batched, prediction)
+    z = _project(spec, z)
+    states = _checked(_rollout(spec, model, x0, z))
     jac = _jacobians(spec, model, states, z)
     g, j = _adjoint(spec, model, states, z, jac), _value(spec, states, z)
     pg = _pg_norm(spec, z, g)
     lo, hi = (np.tile(bound, spec.horizon_N) for bound in spec.input_box)
     resolution = 64.0 * np.finfo(float).eps
-    z_out, pg_out, states_out, j_out = np.empty_like(z), np.empty_like(pg), np.empty_like(states), np.empty_like(j)
+    z_out, pg_out, j_out = np.empty_like(z), np.empty_like(pg), np.empty_like(j)
     lanes = np.arange(len(z))  # the lanes still iterating, in the rows of the arrays above
 
     def retire(done: np.ndarray) -> None:
         """Record the result of the lanes ``done`` and keep the rows of the others."""
-        nonlocal lanes, x0, z, g, j, pg, states, jac
+        nonlocal lanes, x0, z, g, j, pg, jac
         retired = lanes[done]
-        z_out[retired], pg_out[retired], states_out[retired], j_out[retired] = z[done], pg[done], states[done], j[done]
+        z_out[retired], pg_out[retired], j_out[retired] = z[done], pg[done], j[done]
         keep = ~done
-        lanes, x0, z, g, j, pg, states = (v[keep] for v in (lanes, x0, z, g, j, pg, states))
+        lanes, x0, z, g, j, pg = (v[keep] for v in (lanes, x0, z, g, j, pg))
         jac = tuple(v[keep] for v in jac)
 
     iters = rejected = 0
@@ -600,10 +560,10 @@ def solve_optimal(
             if not lanes.size:
                 break
         jac = _jacobians(spec, model, trials, z_new)
-        z, j, states, g = z_new, j_new, trials, _adjoint(spec, model, trials, z_new, jac)
+        z, j, g = z_new, j_new, _adjoint(spec, model, trials, z_new, jac)
         pg = _pg_norm(spec, z, g)
     converged = np.all(pg_out <= config.optimal_tol)
-    return _optimizer_state(batched, z_out, iters, pg_out, converged, rejected, states_out, j_out)
+    return _optimizer_state(batched, z_out, iters, pg_out, converged, rejected, j_out)
 
 
 def first_input(z, m: int) -> np.ndarray:
@@ -620,18 +580,3 @@ def warm_start_shift(z, m: int) -> np.ndarray:
     if z.shape[-1] % m != 0 or z.shape[-1] < m:
         raise ValueError(f"z length {z.shape[-1]} is not a positive multiple of m={m}")
     return np.concatenate([z[..., m:], z[..., -m:]], axis=-1)
-
-
-def shift_prediction(spec: OcpSpec, model: PlantModel, states, z) -> np.ndarray:
-    """``warm_start_shift`` for the rollout ``states`` of ``z``, per row of a batch.
-
-    Drops the first state and steps the last once more under ``z``'s last
-    input block, which gives the rollout of ``warm_start_shift(z)`` from
-    ``states[1]``: equal to a new rollout bit for bit, since each lane of a
-    plant call equals its lone call. On a reduced-order plant ``states[1]`` is
-    the next plant state, so the next solve needs no rollout of its start.
-    """
-    states, z = np.asarray(states, dtype=float), np.asarray(z, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        last = model.reduced_map(states[..., -1, :], z[..., -spec.m :], spec.delta)
-    return np.concatenate([states[..., 1:, :], last[..., None, :]], axis=-2)

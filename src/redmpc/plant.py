@@ -141,8 +141,10 @@ class PlantModel:
     entry in plain floats: ``x`` and ``u`` are lists of floats, ``delta`` a
     float, and it returns the next ``x`` as a list. It must do the operations
     of ``reduced_map`` in the same order, so that it equals ``reduced_map``
-    bit for bit; the optimizer rolls out a lone problem with it and skips
-    numpy's per-call overhead. The default ``None`` means ``reduced_map``
+    bit for bit, the inf and nan of an overflow included; the optimizer rolls
+    out a lone problem with it and skips numpy's per-call overhead. A kernel
+    that raises ``ValueError`` or ``OverflowError`` (``math.sin(inf)``) hands
+    the rollout to ``reduced_map``. The default ``None`` means ``reduced_map``
     only. A subclass that overrides ``reduced_map``, ``target_map`` or
     ``equilibrium_map`` below the class defining ``reduced_step`` does not
     use the inherited kernel.

@@ -21,7 +21,6 @@ from .ocp import (
     _norms,
     _quadratic,
     first_input,
-    shift_prediction,
     solve_optimal,
     solver_map,
     warm_start_shift,
@@ -172,12 +171,6 @@ def simulate(model: PlantModel, spec: OcpSpec, solver_config: SolverConfig, sim_
     the run and marks the trace as diverged. The loop records only the
     interconnection's states, inputs and solver diagnostics; the error and
     cost columns are computed from them afterwards.
-
-    On the reduced plant the next state is the second state of the last
-    solve's prediction, so each solve after the first starts from that
-    prediction's ``shift_prediction`` instead of a new rollout, with the same
-    result bit for bit. On the full plant the next state lies off the
-    prediction, and every solve rolls its start out anew.
     """
     delta = float(sim_config.delta)
     if abs(delta - spec.delta) > 1e-15:
@@ -195,7 +188,6 @@ def simulate(model: PlantModel, spec: OcpSpec, solver_config: SolverConfig, sim_
     xs, xis, us = np.zeros((steps, n)), np.zeros((steps, p)), np.zeros((steps, m))
     iters, pg, rejected = np.zeros(steps), np.zeros(steps), np.zeros(steps, dtype=int)
     diverged = False
-    state = None
     for t in range(steps):
         u = first_input(z, m)
         xs[t], us[t] = x, u
@@ -208,9 +200,8 @@ def simulate(model: PlantModel, spec: OcpSpec, solver_config: SolverConfig, sim_
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
             diverged = True
             break
-        prediction = None if full_plant or state is None else shift_prediction(spec, model, state.prediction, z)
         try:
-            state = update(spec, model, solver_config, x, warm_start_shift(z, m), prediction)
+            state = update(spec, model, solver_config, x, warm_start_shift(z, m))
         except FloatingPointError:
             # prediction rollout overflowed: the loop has left any sane region
             diverged = True

@@ -20,7 +20,6 @@ from redmpc.ocp import (
     cost,
     iterate_map,
     rollout,
-    shift_prediction,
     solve_optimal,
     warm_start_shift,
 )
@@ -775,12 +774,11 @@ CASES = {
 }
 
 
-def lone_solve_optimal(spec, model, config, x0, z_init, prediction=None):
+def lone_solve_optimal(spec, model, config, x0, z_init):
     """``solve_optimal`` with a batch split into lone calls, reassembled as the batched result."""
     if np.ndim(z_init) == 1:
-        return solve_optimal(spec, model, config, x0, z_init, prediction)
-    given = [None] * len(z_init) if prediction is None else prediction
-    lone = [solve_optimal(spec, model, config, x, z, p) for x, z, p in zip(x0, z_init, given)]
+        return solve_optimal(spec, model, config, x0, z_init)
+    lone = [solve_optimal(spec, model, config, x, z) for x, z in zip(x0, z_init)]
     pg = np.array([s.projected_gradient_norm for s in lone])
     return OptimizerState(
         z=np.array([s.z for s in lone]),
@@ -788,7 +786,6 @@ def lone_solve_optimal(spec, model, config, x0, z_init, prediction=None):
         projected_gradient_norm=pg,
         converged=bool(np.all(pg <= config.optimal_tol)),
         rejected_steps=sum(s.rejected_steps for s in lone),
-        prediction=np.array([s.prediction for s in lone]),
         value=np.array([s.value for s in lone]),
     )
 
@@ -835,11 +832,10 @@ class TestOneColdSolve:
 
         reduced_value, checked = certify_module._reduced_value, []
 
-        def checking(model, spec, config, states, zstars, pg, values, prediction):
+        def checking(model, spec, config, states, zstars, pg, values):
             assert np.array_equal(values, cost(spec, model, states, zstars))
-            assert np.array_equal(prediction, rollout(spec, model, states, zstars))
             checked.append(len(states))
-            return reduced_value(model, spec, config, states, zstars, pg, values, prediction)
+            return reduced_value(model, spec, config, states, zstars, pg, values)
 
         monkeypatch.setattr(certify_module, "cost", no_cost)
         monkeypatch.setattr(certify_module, "_reduced_value", checking)
@@ -851,9 +847,9 @@ class TestOneColdSolve:
         model, spec, config, plan = CASES["benchmark-plan"]()
         calls = []
 
-        def recording(spec_arg, model_arg, config_arg, x0, z_init, prediction=None):
-            result = solve_optimal(spec_arg, model_arg, config_arg, x0, z_init, prediction)
-            calls.append((spec_arg.delta, np.array(x0), np.array(z_init), prediction, result))
+        def recording(spec_arg, model_arg, config_arg, x0, z_init):
+            result = solve_optimal(spec_arg, model_arg, config_arg, x0, z_init)
+            calls.append((spec_arg.delta, np.array(x0), np.array(z_init), result))
             return result
 
         monkeypatch.setattr(certify_module, "solve_optimal", recording)
@@ -861,22 +857,19 @@ class TestOneColdSolve:
         assert report.closed_loop is not None  # the closed-loop check ran, at its own delta
         at_delta = [call for call in calls if call[0] == spec.delta]
         assert len(at_delta) == 2 and len(calls) == 4
-        (_, x_cold, z_cold, given_cold, cold), (_, x_warm, z_warm, given_warm, _) = at_delta
+        (_, x_cold, z_cold, cold), (_, x_warm, z_warm, _) = at_delta
         starts = plan.multistart_states * (plan.multistart_points - 1)
         assert len(x_cold) == plan.n_states + starts + plan.n_value_states
         # minimizer and value lanes start from zeros, multistart lanes from points in the input box
         assert not z_cold[: plan.n_states].any() and not z_cold[plan.n_states + starts :].any()
         assert np.all(z_cold[plan.n_states : plan.n_states + starts] != 0.0)
-        assert given_cold is None
-        # the successor solve starts where the receding horizon puts it: the value lanes'
-        # minimizers shifted, with their rollouts shifted as its first rollout
-        value_z, value_rollouts = cold.z[plan.n_states + starts :], cold.prediction[plan.n_states + starts :]
+        # the successor solve starts where the receding horizon puts it: the value lanes' minimizers shifted
+        value_x, value_z = x_cold[plan.n_states + starts :], cold.z[plan.n_states + starts :]
         assert np.array_equal(z_warm, warm_start_shift(value_z, model.m))
-        assert np.array_equal(given_warm, shift_prediction(spec, model, value_rollouts, value_z))
-        # its states are the value states' successors, the second states of their rollouts
+        # its states are the value states' successors, the second states of their minimizers' rollouts
         assert len(x_warm) == plan.n_value_states
-        assert np.array_equal(x_warm, value_rollouts[:, 1])
-        assert np.array_equal(x_warm, model.reduced_map(x_cold[plan.n_states + starts :], value_z[:, : model.m], spec.delta))
+        assert np.array_equal(x_warm, rollout(spec, model, value_x, value_z)[:, 1])
+        assert np.array_equal(x_warm, model.reduced_map(value_x, value_z[:, : model.m], spec.delta))
 
     def test_one_frozen_state_step(self, monkeypatch):
         # the optimizer-bound, map-pair and boundary lanes step in one call at the certified delta,

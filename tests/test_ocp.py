@@ -18,7 +18,6 @@ from redmpc.ocp import (
     iterate_map,
     project_box,
     rollout,
-    shift_prediction,
     solve_optimal,
     solver_map,
     warm_start_shift,
@@ -373,42 +372,6 @@ class TestSolveOptimal:
         assert (res.iterations_used, res.rejected_steps, res.converged) == (1, 1, False)
 
 
-class TestGivenPrediction:
-    """A solver given the rollout of its start checks it as it checks its own, and leaves it unchanged."""
-
-    SPEC = load_config().ocp_spec(0.1)  # N = 5
-    X0 = np.array([0.4, -0.2])
-    Z = np.full(5, 3.0)
-    SOLVERS = {"solver_map": solver_map, "solve_optimal": solve_optimal}
-
-    @pytest.mark.parametrize("solver", sorted(SOLVERS))
-    def test_first_state_must_be_x0(self, solver):
-        prediction = rollout(self.SPEC, PEND, self.X0, self.Z)
-        prediction[0, 1] = np.nextafter(prediction[0, 1], 1.0)
-        with pytest.raises(ValueError, match="start at x0"):
-            self.SOLVERS[solver](self.SPEC, PEND, CFG, self.X0, self.Z, prediction)
-
-    @pytest.mark.parametrize("solver", sorted(SOLVERS))
-    def test_shape_checked(self, solver):
-        prediction = rollout(self.SPEC, PEND, self.X0, self.Z)
-        with pytest.raises(ValueError, match="prediction must have shape"):
-            self.SOLVERS[solver](self.SPEC, PEND, CFG, self.X0, self.Z, prediction[:-1])
-
-    @pytest.mark.parametrize("solver", sorted(SOLVERS))
-    def test_non_finite_raises_as_an_overflow(self, solver):
-        prediction = rollout(self.SPEC, PEND, [self.X0, self.X0], [self.Z, self.Z])
-        prediction[1, 3, 0] = np.inf
-        with pytest.raises(FloatingPointError, match="step 3 in lane 1"):
-            self.SOLVERS[solver](self.SPEC, PEND, CFG, [self.X0, self.X0], [self.Z, self.Z], prediction)
-
-    @pytest.mark.parametrize("solver", sorted(SOLVERS))
-    def test_left_unchanged(self, solver):
-        prediction = rollout(self.SPEC, PEND, self.X0, self.Z)
-        kept = prediction.copy()
-        self.SOLVERS[solver](self.SPEC, PEND, CFG, self.X0, self.Z, prediction)
-        assert np.array_equal(prediction, kept)
-
-
 class TestSolverMap:
     def test_fixed_point_at_minimizer(self):
         spec = load_config().ocp_spec(0.01)
@@ -489,19 +452,6 @@ class TestSequenceOps:
             # one sequence: the drop-first, repeat-last concatenation, bit for bit
             assert np.array_equal(lone, np.concatenate([z[k, 2:], z[k, -2:]]))
 
-    @pytest.mark.parametrize("case", ["pendulum-N50", "linear"])
-    def test_shift_prediction_is_the_rollout_of_the_shift(self, case):
-        # on the reduced plant the next state is the prediction's second state
-        spec, model, n, u_max = REFERENCE_CASES[case]
-        rng = np.random.default_rng(21)
-        x0, z = rng.uniform(-1, 1, (3, n)), rng.uniform(-u_max, u_max, (3, spec.horizon_N * spec.m))
-        shifted = shift_prediction(spec, model, rollout(spec, model, x0, z), z)
-        x_next = model.reduced_map(x0, first_input(z, spec.m), spec.delta)
-        assert np.array_equal(shifted, rollout(spec, model, x_next, warm_start_shift(z, spec.m)))
-        for k in range(3):
-            lone = shift_prediction(spec, model, rollout(spec, model, x0[k], z[k]), z[k])
-            assert np.array_equal(lone, shifted[k])
-
     def test_shift_bad_length(self):
         with pytest.raises(ValueError, match="multiple"):
             warm_start_shift([1.0, 2.0, 3.0], 2)
@@ -576,36 +526,20 @@ class TestEvaluationCounts:
         assert rejected == 0
         assert (model.maps, model.jacobians) == (100, 1)
 
-    def test_solver_map_given_the_prediction(self):
-        # the prediction stands in for the start's rollout: the accepted first trial's remains
-        prediction = rollout(self.SPEC, PEND, self.X0, np.zeros(50))
+    def assert_solve_counts(self, x0, z):
         model = CountingPendulum()
-        out = solver_map(self.SPEC, model, CFG, self.X0, np.zeros(50), prediction)
-        assert out.rejected_steps == 0
-        assert (model.maps, model.jacobians) == (50, 2)
-
-    def assert_solve_counts(self, x0, z, given=False):
-        prediction = rollout(self.SPEC, PEND, x0, z) if given else None
-        model = CountingPendulum()
-        out = solve_optimal(self.SPEC, model, CFG, x0, z, prediction)
+        out = solve_optimal(self.SPEC, model, CFG, x0, z)
         assert out.converged and out.rejected_steps == 0 and out.iterations_used >= 3
-        # the start unless given, then per iteration one trial (the full step) and the Jacobians at the accepted trial
-        start = 0 if given else 1
-        assert (model.maps, model.jacobians) == (50 * (start + out.iterations_used), 1 + out.iterations_used)
+        # the start, then per iteration one trial (the full step) and the Jacobians at the accepted trial
+        assert (model.maps, model.jacobians) == (50 * (1 + out.iterations_used), 1 + out.iterations_used)
 
     def test_solve_optimal(self):
         self.assert_solve_counts(self.X0, np.zeros(50))
-
-    def test_solve_optimal_given_the_prediction(self):
-        self.assert_solve_counts(self.X0, np.zeros(50), given=True)
 
     BATCH = [X0, [-0.3, 0.2], [0.5, -0.5]]  # lanes that converge after 3, 3 and 4 iterations
 
     def test_solve_optimal_batch_makes_the_calls_of_one_lane(self):
         self.assert_solve_counts(self.BATCH, np.zeros((3, 50)))
-
-    def test_solve_optimal_batch_given_the_prediction(self):
-        self.assert_solve_counts(self.BATCH, np.zeros((3, 50)), given=True)
 
 
 def reference_armijo(spec, model, x0, z, g, step, j_ref, alpha, config, noise_floor=-np.inf):
@@ -706,16 +640,6 @@ class TestReferenceLoop:
         assert np.array_equal(state.projected_gradient_norm, pg)
         assert (state.iterations_used, state.rejected_steps, state.converged) == (iters, rejected, converged)
         assert state.value == cost(spec, model, x0, z)
-        assert np.array_equal(state.prediction, rollout(spec, model, x0, z))
-
-    @staticmethod
-    def assert_same_given_prediction(solver, spec, model, config, x0, z):
-        """Passing the rollout of the start changes nothing, whether or not the projection moves z."""
-        for start in (z, project_box(spec, z)):
-            plain = solver(spec, model, config, x0, start)
-            given = solver(spec, model, config, x0, start, rollout(spec, model, x0, start))
-            for field in dataclasses.fields(plain):
-                assert np.array_equal(getattr(given, field.name), getattr(plain, field.name)), field.name
 
     # the short line search rejects some steps
     STEPS = {
@@ -735,7 +659,6 @@ class TestReferenceLoop:
             assert np.array_equal(z_next, ref_z) and rejected == ref_rejected
             state = solver_map(spec, model, config, x0, z)
             self.assert_same(state, reference_solver_map(spec, model, config, x0, z), spec, model, x0)
-            self.assert_same_given_prediction(solver_map, spec, model, config, x0, z)
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_solve_optimal(self, case):
@@ -752,7 +675,6 @@ class TestReferenceLoop:
             for spec, model, x0, z in self.samples(case, 15):
                 state = solve_optimal(spec, model, config, x0, z)
                 self.assert_same(state, reference_solve_optimal(spec, model, config, x0, z), spec, model, x0)
-                self.assert_same_given_prediction(solve_optimal, spec, model, config, x0, z)
                 if config.armijo_c == 0.99:
                     assert state.rejected_steps == 1 and not state.converged
 
@@ -887,11 +809,7 @@ class TestBatchAxis:
             assert np.array_equal(state.z[k], lone.z)
             assert np.array_equal(state.projected_gradient_norm[k], lone.projected_gradient_norm)
             assert state.value[k] == lone.value == cost(spec, model, x0[k], lone.z)
-            assert np.array_equal(state.prediction[k], rollout(spec, model, x0[k], lone.z))
         assert rejected == state.rejected_steps == lone_rejected
-        given = solver_map(spec, model, config, x0, z, rollout(spec, model, x0, z))
-        for field in dataclasses.fields(state):
-            assert np.array_equal(getattr(given, field.name), getattr(state, field.name)), field.name
 
     def test_solve_optimal_mixed_batch(self):
         # lanes that reach tolerance, stop at a rejected step, or run out of budget
@@ -907,8 +825,6 @@ class TestBatchAxis:
             assert np.array_equal(state.projected_gradient_norm[k], s.projected_gradient_norm)
             # a lane that stops at a rejected step reports its last accepted point, not the failed trial
             assert state.value[k] == s.value == cost(spec, PEND, x0[k], s.z)
-            assert np.array_equal(state.prediction[k], rollout(spec, PEND, x0[k], s.z))
-            assert np.array_equal(s.prediction, state.prediction[k])
         assert state.iterations_used == max(s.iterations_used for s in lone) == config.max_optimal_iters
         assert state.rejected_steps == sum(s.rejected_steps for s in lone)
         assert state.converged is False

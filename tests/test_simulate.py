@@ -1,8 +1,6 @@
 import dataclasses
 import types
 
-import redmpc.simulate as simulate_module
-
 import numpy as np
 import pytest
 
@@ -260,9 +258,29 @@ def reference_closed_loop(model, spec, solver_config, sim_config):
     return arrays, x, xi if full else arrays["xi"][-1], diverged
 
 
+class CountingPendulum(ActuatedPendulum):
+    """Counts its float-kernel steps, reduced_map calls and reduced_jacobians calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = self.maps = self.jacobians = 0
+
+    def reduced_step(self, x, u, delta):
+        self.steps += 1
+        return super().reduced_step(x, u, delta)
+
+    def reduced_map(self, x, u, delta):
+        self.maps += 1
+        return super().reduced_map(x, u, delta)
+
+    def reduced_jacobians(self, x, u, delta):
+        self.jacobians += 1
+        return super().reduced_jacobians(x, u, delta)
+
+
 class TestReferenceClosedLoop:
-    """``simulate``, whose reduced-plant solves start from the shifted prediction, equals a plain loop
-    over the public solvers bit for bit, in every array of its trace."""
+    """``simulate``, whose every solve rolls out its own start, equals a plain loop over the
+    public solvers bit for bit, in every array of its trace."""
 
     CONFIGS = {
         "default": {},
@@ -307,23 +325,15 @@ class TestReferenceClosedLoop:
         trace = simulate(PEND, load_config().ocp_spec(0.1), solver_config, sim_config)
         assert trace.rejected_steps.shape == trace.step.shape and trace.rejected_steps.sum() > 0
 
-    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
-    def test_reduced_plant_solves_are_given_the_prediction(self, strategy, monkeypatch):
-        given = []
-
-        def recording(solver):
-            def call(spec, model, config, x0, z, prediction=None):
-                given.append(prediction is not None)
-                return solver(spec, model, config, x0, z, prediction)
-
-            return call
-
-        monkeypatch.setattr(simulate_module, "solver_map", recording(solver_map))
-        monkeypatch.setattr(simulate_module, "solve_optimal", recording(solve_optimal))
-        sim_config = SimConfig(delta=0.1, duration_s=1.0, strategy=STRATEGIES[strategy])
-        simulate(PEND, load_config().ocp_spec(0.1), CFG, sim_config)
-        reduced = STRATEGIES[strategy].plant_kind == "reduced_order"
-        assert given == [False] + [reduced] * 9
+    def test_reduced_plant_step_calls(self):
+        # per step: the solve rolls out its start and one accepted trial (2N kernel steps),
+        # takes the gradient and the diagnostic adjoint (2 Jacobian calls), and the plant steps once
+        model, spec = CountingPendulum(), load_config().ocp_spec(0.01)  # N = 50
+        sim_config = SimConfig(delta=0.01, duration_s=0.05, strategy=STRATEGIES["subopt-full"])
+        trace = simulate(model, spec, CFG, sim_config)
+        steps = trace.step.size
+        assert steps == 5 and not trace.rejected_steps.any()
+        assert (model.steps, model.jacobians, model.maps) == (2 * 50 * steps, 2 * steps, steps)
 
 
 class TestStrategy:
