@@ -748,7 +748,7 @@ def _minimizer_solves(model, spec, solver_config, plan, rng):
     map_count = len(states) * max(1, plan.map_pairs // len(states))
     draws = [(error(nz, 1e-6), error(nz, 1e-6), error(p), error(p)) for _ in range(map_count)]
     map_errors = tuple(np.array(side) for side in zip(*draws))
-    box_lo, box_hi = np.tile(spec.input_box[0], spec.horizon_N), np.tile(spec.input_box[1], spec.horizon_N)
+    box_lo, box_hi = spec._sequence_box
     probed, starts = min(plan.multistart_states, len(states)), plan.multistart_points - 1
     z_starts = _uniform_stream(rng, box_lo, box_hi, probed * starts)
     value_states = model.x_star + _ball_samples(rng, n, plan.n_value_states, plan.state_ball, plan.state_ball * 0.02)

@@ -13,7 +13,15 @@ and ``z`` carry a leading axis of B lanes. Each lane is computed by the same
 operations as its lone call, so lane ``k`` of a batch equals that call bit for
 bit. A rollout of one lane steps the model's float kernel
 (``PlantModel.reduced_step``) when it has one; the kernel equals
-``reduced_map`` bit for bit, so lane ``k`` still equals its lone call.
+``reduced_map`` bit for bit, so lane ``k`` still equals its lone call. The
+costate recursion of a gradient is one explicit multiply-then-add
+arithmetic (see ``_adjoint``): numpy rows for a batch, a Python-float loop
+for one lane, the same IEEE operations in both.
+
+A solver takes one reverse sweep per iterate it steps from, and reports the
+projected-gradient norm of a gradient it already took: ``solver_map`` at
+the iterate its last iteration stepped from, ``solve_optimal`` (whose
+stopping rule needs it) at its result.
 """
 
 from __future__ import annotations
@@ -105,6 +113,11 @@ class OcpSpec:
         """``2 (I_N kron R)``, the input-cost block of every Gauss-Newton Hessian; built on first use."""
         return np.kron(np.eye(self.horizon_N), 2.0 * self.input_weight)
 
+    @cached_property
+    def _sequence_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """``input_box`` tiled over the horizon: the (lo, hi) bound of each entry of ``z``; built on first use."""
+        return tuple(np.tile(bound, self.horizon_N) for bound in self.input_box)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -136,7 +149,11 @@ class OptimizerState:
     """Stacked input sequence plus solver diagnostics and the objective the solver computed at it.
 
     ``value`` is the objective at ``z``, equal to ``cost`` at the solver's
-    ``x0`` and ``z`` bit for bit. For a batch, ``z``,
+    ``x0`` and ``z`` bit for bit. ``projected_gradient_norm`` is
+    ``||v - project_box(v - gradient(v))||`` from a gradient the solver
+    already took: at the iterate its last iteration stepped from for
+    ``solver_map`` (with one iteration, the projected incoming sequence), and
+    at ``z`` itself for ``solve_optimal``. For a batch, ``z``,
     ``projected_gradient_norm`` and ``value`` hold one entry per lane, while
     ``iterations_used``, ``converged`` and ``rejected_steps`` describe the
     whole batch (see ``solve_optimal``).
@@ -275,24 +292,55 @@ def _jacobians(spec: OcpSpec, model: PlantModel, states: np.ndarray, z: np.ndarr
 def _adjoint(spec: OcpSpec, model: PlantModel, states: np.ndarray, z: np.ndarray, jacobians=None) -> np.ndarray:
     """Per lane: objective gradient w.r.t. z by the reverse sweep along a rollout already taken.
 
+    The costates run back from ``lambda_N = 2 Q_f x_N`` by ``lambda_tau =
+    A_tau' lambda_{tau+1} + 2 Q x_tau``. Entry j of ``A_tau' lambda`` is the sum
+    over i of ``A_tau[i, j] lambda_i``, added left to right onto 0.0, and
+    ``2 Q x_tau`` is added last: one rounded multiply and one rounded add per
+    term, with no BLAS and no fused multiply-add. A batch takes these steps
+    as numpy operations on rows of lanes; one lane takes them in Python
+    floats, which skips numpy's per-call overhead on n-vectors. Both do the
+    same IEEE operations, so lane k still equals its lone call bit for bit.
     ``jacobians`` are the rollout's ``_jacobians`` when the caller has them.
     """
-    N, m = spec.horizon_N, spec.m
-    u = z.reshape(len(z), N, m)
+    N, m, n = spec.horizon_N, spec.m, model.n
+    lanes = len(z)
+    u = z.reshape(lanes, N, m)
     jac_x, jac_u = _jacobians(spec, model, states, z) if jacobians is None else jacobians
-    jac_x_t = jac_x.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        state_terms = 2.0 * (spec.state_weight @ states[:, :N, :, None])  # column tau: 2 Q x_tau
-        costates = np.empty_like(state_terms)  # column tau: the costate after step tau
-        lam = 2.0 * (spec.terminal_weight @ states[:, N, :, None])
-        for tau in reversed(range(N)):
-            costates[:, tau] = lam
-            lam = state_terms[:, tau] + jac_x_t[:, tau] @ lam
-        grad = 2.0 * (spec.input_weight @ u[..., None]) + jac_u.swapaxes(-1, -2) @ costates
-    if not np.isfinite(lam).all():
-        lane = int(np.argmin(np.isfinite(lam).all(axis=(1, 2))))
+        state_terms = 2.0 * (spec.state_weight @ states[:, :N, :, None])[..., 0]  # row tau: 2 Q x_tau
+        lam = 2.0 * (spec.terminal_weight @ states[:, N, :, None])[..., 0]
+        if lanes == 1:
+            lam, flat = lam[0].tolist(), []  # flat: lambda_N, ..., lambda_0 end to end
+            for columns, terms in zip(reversed(jac_x[0].swapaxes(-1, -2).tolist()), reversed(state_terms[0].tolist())):
+                flat += lam
+                new = []
+                for column, term in zip(columns, terms):
+                    total = 0.0
+                    for a_ij, lam_i in zip(column, lam):
+                        total += a_ij * lam_i
+                    new.append(total + term)
+                lam = new
+            flat += lam
+            costates = np.array(flat).reshape(N + 1, n)[::-1]
+        else:
+            # Lanes run along the last axis. Row i < n of factors[tau] is A_tau[i, :] and row n
+            # is 2 Q x_tau; every costate ends in a constant 1.0, so one product and one reduce
+            # over the rows sum A_tau' lambda in order and then add 2 Q x_tau (times 1.0, exactly).
+            factors = np.empty((N, n + 1, n, lanes))
+            factors[:, :n] = jac_x.transpose(1, 2, 3, 0)
+            factors[:, n] = state_terms.transpose(1, 2, 0)
+            rows = np.empty((N + 1, n + 1, lanes))
+            rows[:, n] = 1.0
+            rows[N, :n] = lam.T
+            for factor, later, out in zip(factors[::-1], rows[:0:-1, :, None], rows[-2::-1, :n]):
+                np.add.reduce(factor * later, axis=0, out=out)
+            costates = rows[:, :n].transpose(2, 0, 1)
+        costates = np.ascontiguousarray(costates).reshape(lanes, N + 1, n, 1)  # row tau: lambda_tau
+        grad = 2.0 * (spec.input_weight @ u[..., None]) + jac_u.swapaxes(-1, -2) @ costates[:, 1:]
+    if not np.isfinite(costates[:, 0]).all():
+        lane = int(np.argmin(np.isfinite(costates[:, 0]).all(axis=(1, 2))))
         raise FloatingPointError(f"gradient overflow: non-finite adjoint in lane {lane}")
-    return grad.reshape(len(z), N * m)
+    return grad.reshape(lanes, N * m)
 
 
 def _hessian(spec: OcpSpec, jac_x: np.ndarray, jac_u: np.ndarray) -> np.ndarray:
@@ -427,7 +475,7 @@ def iterate_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z) -
     summed over the lanes.
     """
     x0, z, batched = _lanes(spec, model, x0, z)
-    z, rejected, states, _ = _iterate(spec, model, config, x0, z)
+    z, rejected, states, _, _ = _iterate(spec, model, config, x0, z)
     if batched:
         return z, rejected, states
     return z[0], rejected, states[0]
@@ -435,8 +483,9 @@ def iterate_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z) -
 
 def _iterate(
     spec: OcpSpec, model: PlantModel, config: SolverConfig, x0: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """``iterate_map`` on checked lanes: the result, the rejected steps, and its rollout and objective per lane.
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]:
+    """``iterate_map`` on checked lanes: the result, the rejected steps, its rollout and objective per lane,
+    and the projected-gradient norm per lane at the iterate that the last iteration stepped from.
 
     The objective is the line search's value at each lane's accepted trial,
     or the lane's start value when it rejected every trial; after a
@@ -446,7 +495,7 @@ def _iterate(
     states = _checked(_rollout(spec, model, x0, z))
     rejected, values = 0, None
     for _ in range(config.iters_per_sample):
-        g = _adjoint(spec, model, states, z)
+        start, g = z, _adjoint(spec, model, states, z)
         if config.step_rule == "fixed":
             z = _project(spec, z - config.alpha0 * g)
             states = _checked(_rollout(spec, model, x0, z))
@@ -454,21 +503,25 @@ def _iterate(
         if values is None:
             values = _value(spec, states, z)
         points, trial_values, trials, ok = _armijo_backtrack(spec, model, x0, z, g, g, values, config.alpha0, config)
-        z[ok], states[ok], values[ok] = points[ok], trials[ok], trial_values[ok]
+        z = np.where(ok[:, None], points, z)
+        states[ok], values[ok] = trials[ok], trial_values[ok]
         rejected += int(np.count_nonzero(~ok))
-    return z, rejected, states, _value(spec, states, z) if values is None else values
+    values = _value(spec, states, z) if values is None else values
+    return z, rejected, states, values, _pg_norm(spec, start, g)
 
 
 def solver_map(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z) -> OptimizerState:
     """Fixed-budget suboptimal update: the optimizer's one-sample iteration map.
 
     Applies exactly ``config.iters_per_sample`` projected gradient iterations
-    and records, at the result, the final projected-gradient norm and the
-    objective (``value``) that ``iterate_map`` computes.
+    and records the objective (``value``) at the result, which ``iterate_map``
+    computes, and the projected-gradient norm at the iterate that the last
+    iteration stepped from, from that iteration's gradient: with one
+    iteration per sample, the stationarity of the (projected) incoming
+    sequence at ``x0``. No sweep is taken at the result.
     """
     x0, z, batched = _lanes(spec, model, x0, z)
-    z, rejected, states, values = _iterate(spec, model, config, x0, z)
-    pg = _pg_norm(spec, z, _adjoint(spec, model, states, z))
+    z, rejected, states, values, pg = _iterate(spec, model, config, x0, z)
     return _optimizer_state(batched, z, config.iters_per_sample, pg, True, rejected, values)
 
 
@@ -516,7 +569,7 @@ def solve_optimal(spec: OcpSpec, model: PlantModel, config: SolverConfig, x0, z_
     jac = _jacobians(spec, model, states, z)
     g, j = _adjoint(spec, model, states, z, jac), _value(spec, states, z)
     pg = _pg_norm(spec, z, g)
-    lo, hi = (np.tile(bound, spec.horizon_N) for bound in spec.input_box)
+    lo, hi = spec._sequence_box
     resolution = 64.0 * np.finfo(float).eps
     z_out, pg_out, j_out = np.empty_like(z), np.empty_like(pg), np.empty_like(j)
     lanes = np.arange(len(z))  # the lanes still iterating, in the rows of the arrays above

@@ -6,7 +6,7 @@ import pytest
 
 import redmpc.ocp as ocp_module
 from redmpc.config import load_config
-from redmpc.plant import ActuatedPendulum, LinearTwoTimescale
+from redmpc.plant import ActuatedPendulum, LinearTwoTimescale, PlantModel
 from redmpc.ocp import (
     OcpSpec,
     SolverConfig,
@@ -493,8 +493,8 @@ class TestEvaluationCounts:
         model = CountingPendulum()
         out = solver_map(self.SPEC, model, CFG, self.X0, np.zeros(50))
         assert out.rejected_steps == 0
-        # gradient rollout + accepted first trial; adjoint at z + diagnostic adjoint
-        assert (model.maps, model.jacobians) == (100, 2)
+        # gradient rollout + accepted first trial; one adjoint, at z, which also gives the reported norm
+        assert (model.maps, model.jacobians) == (100, 1)
 
     @pytest.mark.parametrize("rule, values", [("backtracking", 2), ("fixed", 1)])
     def test_solver_map_evaluates_each_objective_once(self, rule, values, monkeypatch):
@@ -554,10 +554,12 @@ def reference_armijo(spec, model, x0, z, g, step, j_ref, alpha, config, noise_fl
 
 
 def reference_iterate(spec, model, config, x0, z):
+    """The fixed-budget iterations, and the projected-gradient norm at the iterate the last one stepped from."""
     z = project_box(spec, z)
     rejected = 0
     for _ in range(config.iters_per_sample):
         g = gradient(spec, model, x0, z)
+        pg = float(np.linalg.norm(z - project_box(spec, z - g)))
         if config.step_rule == "fixed":
             z = project_box(spec, z - config.alpha0 * g)
             continue
@@ -566,13 +568,11 @@ def reference_iterate(spec, model, config, x0, z):
             rejected += 1
         else:
             z = step[0]
-    return z, rejected
+    return z, rejected, pg
 
 
 def reference_solver_map(spec, model, config, x0, z):
-    z, rejected = reference_iterate(spec, model, config, x0, z)
-    g = gradient(spec, model, x0, z)
-    pg = float(np.linalg.norm(z - project_box(spec, z - g)))
+    z, rejected, pg = reference_iterate(spec, model, config, x0, z)
     return z, pg, config.iters_per_sample, rejected, True
 
 
@@ -655,7 +655,7 @@ class TestReferenceLoop:
         config = SolverConfig(iters_per_sample=iters, **self.STEPS[rule])
         for spec, model, x0, z in self.samples(case, 14):
             z_next, rejected, _ = iterate_map(spec, model, config, x0, z)
-            ref_z, ref_rejected = reference_iterate(spec, model, config, x0, z)
+            ref_z, ref_rejected, _ = reference_iterate(spec, model, config, x0, z)
             assert np.array_equal(z_next, ref_z) and rejected == ref_rejected
             state = solver_map(spec, model, config, x0, z)
             self.assert_same(state, reference_solver_map(spec, model, config, x0, z), spec, model, x0)
@@ -907,7 +907,7 @@ class TestFloatKernel:
         model = KernelCountingPendulum()
         out = solver_map(TestEvaluationCounts.SPEC, model, CFG, TestEvaluationCounts.X0, np.zeros(50))
         assert out.rejected_steps == 0
-        assert (model.steps, model.maps, model.jacobians) == (100, 0, 2)
+        assert (model.steps, model.maps, model.jacobians) == (100, 0, 1)
 
     def test_batch_leaves_the_kernel(self):
         model = KernelCountingPendulum()
@@ -920,3 +920,100 @@ class TestFloatKernel:
         states = rollout(spec, model, x0, z)
         assert np.array_equal(states, loop_rollout(spec, model, x0, z))
         assert not np.array_equal(states, rollout(spec, PEND, x0, z))
+
+
+class ThreeStateModel(PlantModel):
+    """A reduced map ``x + delta (gain M x + C tanh(x) + G u)`` with 3 states and 2 inputs.
+
+    It defines only ``reduced_map`` and ``reduced_jacobians``, with elementwise
+    products and sums over the last axis, so that entry k of a batch equals its
+    lone call bit for bit.
+    """
+
+    n, p, m = 3, 1, 2
+    M = np.array([[-0.4, 1.3, 0.2], [-0.9, -0.3, 0.7], [0.5, -1.1, -0.6]])
+    C = np.array([[0.8, -0.2, 0.1], [0.3, 0.6, -0.5], [-0.7, 0.4, 0.9]])
+    G = np.array([[1.0, 0.0], [0.5, -1.5], [-0.25, 2.0]])
+
+    def __init__(self, gain=1.0):
+        self.gain = gain
+
+    def reduced_map(self, x, u, delta):
+        drift = self.gain * (self.M * x[..., None, :]).sum(-1) + (self.C * np.tanh(x)[..., None, :]).sum(-1)
+        return x + delta * (drift + (self.G * u[..., None, :]).sum(-1))
+
+    def reduced_jacobians(self, x, u, delta):
+        slope = 1.0 - np.tanh(x) ** 2  # d tanh(x_k) / d x_k, scaling column k of C
+        jac_x = np.eye(3) + delta * (self.gain * self.M + self.C * slope[..., None, :])
+        return jac_x, np.broadcast_to(delta * self.G, x.shape[:-1] + self.G.shape).copy()
+
+
+def three_state_spec(horizon_N=7, delta=0.1):
+    return OcpSpec(
+        horizon_N=horizon_N,
+        state_weight=np.array([[2.0, 0.5, 0.1], [0.5, 1.0, -0.3], [0.1, -0.3, 1.5]]),
+        input_weight=np.array([[0.3, 0.05], [0.05, 0.2]]),
+        terminal_weight=np.array([[4.0, -1.0, 0.0], [-1.0, 3.0, 0.5], [0.0, 0.5, 2.0]]),
+        input_box=(np.full(2, -5.0), np.full(2, 5.0)),
+        delta=delta,
+    )
+
+
+def bits(a):
+    """The IEEE bit patterns of ``a``, so that -0.0 and 0.0 count as different."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+class TestCostateArithmetic:
+    """The costate recursion is one multiply-then-add arithmetic: a lone gradient (Python floats) equals
+    its batch lane (numpy rows) bit for bit for n = 1, 2 and 3, and both stay within 1e-12 of the
+    per-step BLAS loop, relative to the gradient's max-norm."""
+
+    DRAWS = 1000
+
+    @classmethod
+    def draws(cls, model, spec, x_scale, u_scale, seed):
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-x_scale, x_scale, (cls.DRAWS, model.n))
+        z = rng.uniform(-u_scale, u_scale, (cls.DRAWS, spec.horizon_N * model.m))
+        # exact zeros of both signs, whose sums must keep the sign a batch gives them
+        x0[:2], z[:2] = 0.0, 0.0
+        x0[2], z[2] = -0.0, -0.0
+        return x0, z
+
+    def assert_lanes(self, spec, model, x0, z, loop_every=1):
+        batch = gradient(spec, model, x0, z)
+        for k in range(len(z)):
+            assert np.array_equal(bits(gradient(spec, model, x0[k], z[k])), bits(batch[k])), k
+            if k % loop_every == 0:
+                ref = loop_gradient(spec, model, x0[k], z[k])
+                assert np.max(np.abs(batch[k] - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.2])
+    @pytest.mark.parametrize("model", [PEND, LinearTwoTimescale()], ids=lambda model: model.name)
+    def test_shipped_models(self, model, delta):
+        # the per-step loop is slow at N = 50, so it checks every tenth draw
+        spec = load_config().ocp_spec(delta, model=model)
+        x0, z = self.draws(model, spec, 2.0, 1.5 * spec.input_box[1][0], seed=23)
+        self.assert_lanes(spec, model, x0, z, loop_every=10)
+
+    @pytest.mark.parametrize("horizon_N", [1, 7, 40])
+    def test_three_states(self, horizon_N):
+        spec, model = three_state_spec(horizon_N), ThreeStateModel()
+        x0, z = self.draws(model, spec, 3.0, 8.0, seed=24)
+        self.assert_lanes(spec, model, x0[:200], z[:200])
+
+    def test_lone_overflow_raises_as_a_batch_does(self):
+        # the rollout grows as 4e38^tau and stays finite over N = 5; the costates grow as its square
+        spec, model = three_state_spec(5), ThreeStateModel(gain=4e39)
+        rng = np.random.default_rng(25)
+        x0, z = rng.uniform(-1, 1, (3, 3)), rng.uniform(-5, 5, (3, 10))
+        assert np.isfinite(rollout(spec, model, x0, z)).all()
+        messages = []
+        for args in ((x0[0], z[0]), (x0, z)):
+            with pytest.raises(FloatingPointError, match="gradient overflow") as err:
+                gradient(spec, model, *args)
+            messages.append(str(err.value))
+        assert messages == ["gradient overflow: non-finite adjoint in lane 0"] * 2
+        with pytest.raises(FloatingPointError, match="in lane 1"):
+            gradient(spec, model, np.array([np.zeros(3), x0[0]]), np.array([np.zeros(10), z[0]]))

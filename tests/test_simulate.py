@@ -327,13 +327,13 @@ class TestReferenceClosedLoop:
 
     def test_reduced_plant_step_calls(self):
         # per step: the solve rolls out its start and one accepted trial (2N kernel steps),
-        # takes the gradient and the diagnostic adjoint (2 Jacobian calls), and the plant steps once
+        # takes one gradient, whose sweep also gives the reported norm (1 Jacobian call), and the plant steps once
         model, spec = CountingPendulum(), load_config().ocp_spec(0.01)  # N = 50
         sim_config = SimConfig(delta=0.01, duration_s=0.05, strategy=STRATEGIES["subopt-full"])
         trace = simulate(model, spec, CFG, sim_config)
         steps = trace.step.size
         assert steps == 5 and not trace.rejected_steps.any()
-        assert (model.steps, model.jacobians, model.maps) == (2 * 50 * steps, 2 * steps, steps)
+        assert (model.steps, model.jacobians, model.maps) == (2 * 50 * steps, steps, steps)
 
 
 class TestStrategy:
